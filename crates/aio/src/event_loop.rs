@@ -174,6 +174,8 @@ pub trait Dispatch: Send + Sync + 'static {
     }
     /// A connection was closed for idling past its read budget.
     fn on_idle_timeout(&self) {}
+    /// A connection was refused at the door: every slot was taken.
+    fn on_over_capacity(&self) {}
 }
 
 /// Loop-level counters, readable from any thread.
@@ -492,9 +494,11 @@ impl LoopState {
                         self.stats
                             .rejected_capacity_total
                             .fetch_add(1, Ordering::Relaxed);
-                        let mut s = stream;
-                        let _ = s.write_all(self.cfg.over_capacity_reply.as_bytes());
-                        let _ = s.write_all(b"\n");
+                        self.dispatch.on_over_capacity();
+                        // One write for line + terminator: a split frame
+                        // can sit out a delayed ACK on the peer.
+                        let frame = format!("{}\n", self.cfg.over_capacity_reply);
+                        let _ = (&stream).write_all(frame.as_bytes());
                         continue;
                     }
                     self.register(stream, now);

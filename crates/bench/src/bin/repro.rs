@@ -103,8 +103,8 @@ fn worked_example() -> String {
 }
 
 /// Updates one section of the committed `BENCH_service.json`, which
-/// holds `{"router": {…}, "serve": {…}, "storm": {…}}`. A missing file
-/// or a pre-split single-report file starts a fresh sectioned object.
+/// holds `{"open": {…}, "router": {…}, "storm": {…}}`. A missing file
+/// or one with any other key starts a fresh sectioned object.
 fn merge_bench_service(section: &str, value: cachemap_util::Json) -> std::io::Result<()> {
     use cachemap_util::Json;
     let path = "BENCH_service.json";
@@ -115,7 +115,7 @@ fn merge_bench_service(section: &str, value: cachemap_util::Json) -> std::io::Re
         Some(Json::Object(pairs))
             if pairs
                 .iter()
-                .all(|(k, _)| k == "serve" || k == "storm" || k == "router" || k == "open") =>
+                .all(|(k, _)| k == "open" || k == "router" || k == "storm") =>
         {
             pairs
         }
@@ -127,6 +127,19 @@ fn merge_bench_service(section: &str, value: cachemap_util::Json) -> std::io::Re
     }
     pairs.sort_by(|a, b| a.0.cmp(&b.0));
     std::fs::write(path, Json::Object(pairs).to_string_pretty())
+}
+
+/// The `<seed>` of a `name[:<seed>]` subcommand (42 when omitted).
+fn seed_arg(arg: &str, name: &str) -> u64 {
+    match arg
+        .strip_prefix(name)
+        .and_then(|rest| rest.strip_prefix(':'))
+    {
+        None | Some("") => 42,
+        Some(rest) => rest
+            .parse()
+            .unwrap_or_else(|_| panic!("bad {name} seed: {rest}")),
+    }
 }
 
 fn usage() -> String {
@@ -148,20 +161,15 @@ fn usage() -> String {
      \x20 chaos[:<seed>[:<plans>]]      seeded fault-plan campaign\n\
      \x20 chaos-replay <file...>        re-run shrunk repro plans\n\
      mapping service:\n\
-     \x20 serve[:<addr>]                long-running mapping server\n\
+     \x20 serve[:<addr>]                long-running mapping server on the\n\
+     \x20                               epoll/batching front end\n\
      \x20                               (default 127.0.0.1:7411;\n\
      \x20                               CACHEMAP_L2_DIR enables the durable\n\
      \x20                               L2 tier, CACHEMAP_L2_TTL_SECS its TTL,\n\
-     \x20                               CACHEMAP_TRACING=off disables request\n\
+     \x20                               CACHEMAP_TRACING=1 enables request\n\
      \x20                               tracing + the flight recorder)\n\
-     \x20 serve-async[:<addr>]          long-running epoll/batching server\n\
-     \x20                               (default 127.0.0.1:7412; same\n\
-     \x20                               JSON-lines protocol as serve)\n\
-     \x20 serve-bench[:<seed>[:<requests>]]\n\
-     \x20                               closed-loop SLO load campaign\n\
-     \x20                               (default seed 42, 1200 requests)\n\
      \x20 serve-open[:<rps>[:<secs>]]   open-loop Poisson campaign against\n\
-     \x20                               the async server: offered vs\n\
+     \x20                               the server: offered vs\n\
      \x20                               achieved RPS, p99 gate, 10k idle\n\
      \x20                               connections parked (default\n\
      \x20                               1200 req/s for 8 s, seed 42)\n\
@@ -731,30 +739,6 @@ fn main() {
                     std::process::exit(1);
                 }
             }
-            s if s == "serve-async" || s.starts_with("serve-async:") => {
-                let addr = s.strip_prefix("serve-async:").unwrap_or("127.0.0.1:7412");
-                let mut cfg = cachemap_service::ServiceConfig::default();
-                if let Ok(t) = std::env::var("CACHEMAP_TRACING") {
-                    cfg.tracing = !matches!(t.as_str(), "" | "0" | "off" | "false");
-                }
-                let service = std::sync::Arc::new(cachemap_service::MapService::start(cfg));
-                let server = cachemap_service::aserver::AsyncServer::spawn(
-                    addr,
-                    std::sync::Arc::clone(&service),
-                )
-                .unwrap_or_else(|e| {
-                    eprintln!("cannot bind {addr}: {e}");
-                    std::process::exit(2);
-                });
-                println!(
-                    "async mapping service listening on {} (epoll event loop, batching\n\
-                     dispatch; JSON-lines; GET /metrics for Prometheus;\n\
-                     send {{\"op\":\"shutdown\",\"id\":0}} to stop)",
-                    server.addr()
-                );
-                server.join();
-                service.shutdown();
-            }
             s if s == "serve-open" || s.starts_with("serve-open:") => {
                 let mut parts = s.splitn(3, ':').skip(1);
                 let mut cfg = cachemap_bench::open_loop::OpenLoopConfig::default();
@@ -831,14 +815,17 @@ fn main() {
                     );
                 }
                 let service = std::sync::Arc::new(cachemap_service::MapService::start(cfg));
-                let server =
-                    cachemap_service::server::Server::spawn(addr, std::sync::Arc::clone(&service))
-                        .unwrap_or_else(|e| {
-                            eprintln!("cannot bind {addr}: {e}");
-                            std::process::exit(2);
-                        });
+                let server = cachemap_service::aserver::AsyncServer::spawn(
+                    addr,
+                    std::sync::Arc::clone(&service),
+                )
+                .unwrap_or_else(|e| {
+                    eprintln!("cannot bind {addr}: {e}");
+                    std::process::exit(2);
+                });
                 println!(
-                    "mapping service listening on {} (JSON-lines; GET /metrics for Prometheus;\n\
+                    "mapping service listening on {} (epoll event loop, batching dispatch;\n\
+                     JSON-lines; GET /metrics for Prometheus;\n\
                      send {{\"op\":\"shutdown\",\"id\":0}} to stop)",
                     server.addr()
                 );
@@ -846,15 +833,7 @@ fn main() {
                 service.shutdown();
             }
             s if s == "advisor" || s.starts_with("advisor:") => {
-                let seed: u64 = s.strip_prefix("advisor").map_or(42, |rest| {
-                    let rest = rest.strip_prefix(':').unwrap_or("");
-                    if rest.is_empty() {
-                        42
-                    } else {
-                        rest.parse()
-                            .unwrap_or_else(|_| panic!("bad advisor seed: {rest}"))
-                    }
-                });
+                let seed = seed_arg(s, "advisor");
                 eprintln!(
                     "[advisor: seed {seed}, {} workloads × 3 levels × {} policies …]",
                     cachemap_bench::advisor::advisor_workloads(scale).len(),
@@ -873,15 +852,7 @@ fn main() {
                 }
             }
             s if s == "bench-cluster" || s.starts_with("bench-cluster:") => {
-                let seed: u64 = s.strip_prefix("bench-cluster").map_or(42, |rest| {
-                    let rest = rest.strip_prefix(':').unwrap_or("");
-                    if rest.is_empty() {
-                        42
-                    } else {
-                        rest.parse()
-                            .unwrap_or_else(|_| panic!("bad bench-cluster seed: {rest}"))
-                    }
-                });
+                let seed = seed_arg(s, "bench-cluster");
                 let cfg = if test_scale {
                     cachemap_bench::cluster_bench::ClusterBenchConfig::smoke(seed)
                 } else {
@@ -909,48 +880,8 @@ fn main() {
                     Err(e) => eprintln!("   [warning: could not write scratch copy: {e}]"),
                 }
             }
-            s if s == "serve-bench" || s.starts_with("serve-bench:") => {
-                let mut parts = s.splitn(3, ':').skip(1);
-                let mut cfg = cachemap_bench::serve::ServeBenchConfig::default();
-                if let Some(p) = parts.next() {
-                    cfg.seed = p
-                        .parse()
-                        .unwrap_or_else(|_| panic!("bad serve-bench seed: {p}"));
-                }
-                if let Some(p) = parts.next() {
-                    cfg.requests = p
-                        .parse()
-                        .unwrap_or_else(|_| panic!("bad serve-bench request count: {p}"));
-                }
-                eprintln!(
-                    "[serve-bench: seed {}, {} requests, {} closed-loop clients …]",
-                    cfg.seed, cfg.requests, cfg.clients
-                );
-                let report = cachemap_bench::serve::run(&cfg).unwrap_or_else(|e| {
-                    eprintln!("serve-bench failed: {e}");
-                    std::process::exit(1);
-                });
-                println!("{}", cachemap_bench::serve::render(&report));
-                match merge_bench_service("serve", report.to_json()) {
-                    Ok(()) => println!("   [raw numbers: BENCH_service.json, section \"serve\"]"),
-                    Err(e) => eprintln!("   [warning: could not write BENCH_service.json: {e}]"),
-                }
-                let scratch = format!("BENCH_service-{}", cfg.seed);
-                match write_report(&scratch, &report) {
-                    Ok(path) => println!("   [scratch copy: {}]", path.display()),
-                    Err(e) => eprintln!("   [warning: could not write scratch copy: {e}]"),
-                }
-            }
             s if s == "serve-storm" || s.starts_with("serve-storm:") => {
-                let seed: u64 = s.strip_prefix("serve-storm").map_or(42, |rest| {
-                    let rest = rest.strip_prefix(':').unwrap_or("");
-                    if rest.is_empty() {
-                        42
-                    } else {
-                        rest.parse()
-                            .unwrap_or_else(|_| panic!("bad serve-storm seed: {rest}"))
-                    }
-                });
+                let seed = seed_arg(s, "serve-storm");
                 let cfg = if test_scale {
                     cachemap_bench::storm::StormConfig::smoke(seed)
                 } else {
@@ -980,15 +911,7 @@ fn main() {
                 }
             }
             s if s == "router-storm" || s.starts_with("router-storm:") => {
-                let seed: u64 = s.strip_prefix("router-storm").map_or(42, |rest| {
-                    let rest = rest.strip_prefix(':').unwrap_or("");
-                    if rest.is_empty() {
-                        42
-                    } else {
-                        rest.parse()
-                            .unwrap_or_else(|_| panic!("bad router-storm seed: {rest}"))
-                    }
-                });
+                let seed = seed_arg(s, "router-storm");
                 let cfg = if test_scale {
                     cachemap_bench::router_storm::RouterStormConfig::smoke(seed)
                 } else {

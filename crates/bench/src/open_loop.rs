@@ -1,17 +1,15 @@
 //! Open-loop load harness for the async front end (`repro serve-open`).
 //!
-//! The closed-loop harness in [`crate::serve`] measures *round-trip
-//! service capacity*: each client thread waits for its reply before
-//! sending again, so the measured "throughput" is just
-//! `clients / round_trip` and collapses to the server's latency — a
-//! slow server sees *less* load, not a growing backlog. That is the
-//! classic coordinated-omission bias. This harness removes it:
-//! requests are injected on a seeded Poisson schedule at a configured
-//! **offered** rate regardless of how fast replies come back, over a
-//! fixed fan of pipelined connections against the epoll-based
-//! [`AsyncServer`]. What the server cannot absorb shows up where it
-//! belongs — in the latency trajectory — instead of silently deflating
-//! the arrival rate.
+//! A closed-loop client waits for each reply before sending again, so
+//! its measured "throughput" is just `clients / round_trip` and
+//! collapses to the server's latency — a slow server sees *less* load,
+//! not a growing backlog. That is the classic coordinated-omission
+//! bias. This harness avoids it: requests are injected on a seeded
+//! Poisson schedule at a configured **offered** rate regardless of how
+//! fast replies come back, over a fixed fan of pipelined connections
+//! against the epoll-based [`AsyncServer`]. What the server cannot
+//! absorb shows up where it belongs — in the latency trajectory —
+//! instead of silently deflating the arrival rate.
 //!
 //! Reported per run:
 //!
@@ -22,7 +20,7 @@
 //! - a typed tally of rejections; **any** untyped client-visible error
 //!   fails the run,
 //! - byte-identity of every served mapping against the cold
-//!   `Mapper::map` oracle (same invariant as the closed-loop bench),
+//!   `Mapper::map` oracle,
 //! - an idle-fleet check: thousands of parked connections held open
 //!   (by a child process, so the client fds do not eat this process's
 //!   fd budget) while the load runs, proving request service is
@@ -81,10 +79,10 @@ impl Default for OpenLoopConfig {
             apps: 0,
             idle_conns: 10_000,
             idle_hold_exe: None,
-            // 10× the ~80 RPS the closed-loop harness reports, with the
-            // p99 under the closed-loop *median* (87 ms): batching +
-            // memoization must beat thread-per-connection by an order
-            // of magnitude, not a margin.
+            // 10× the ~80 RPS the earlier thread-per-connection front
+            // end reached closed-loop, with the p99 under its *median*
+            // (87 ms): batching + memoization must win by an order of
+            // magnitude, not a margin.
             gate_min_rps: 800.0,
             gate_p99_us: 87_000,
         }
@@ -418,8 +416,7 @@ pub fn run(cfg: &OpenLoopConfig) -> Result<OpenLoopReport, String> {
         let mut c = TcpStream::connect(addr).map_err(|e| format!("prewarm connect: {e}"))?;
         let mut r = BufReader::new(c.try_clone().map_err(|e| format!("clone: {e}"))?);
         for (k, t) in templates.iter().enumerate() {
-            c.write_all(t.line.as_bytes())
-                .and_then(|()| c.write_all(b"\n"))
+            c.write_all(t.frame.as_bytes())
                 .map_err(|e| format!("prewarm {k}: write: {e}"))?;
             let mut reply = String::new();
             r.read_line(&mut reply)
@@ -530,8 +527,7 @@ pub fn run(cfg: &OpenLoopConfig) -> Result<OpenLoopReport, String> {
         });
         let t = &templates[template];
         writers[k]
-            .write_all(t.line.as_bytes())
-            .and_then(|()| writers[k].write_all(b"\n"))
+            .write_all(t.frame.as_bytes())
             .map_err(|e| format!("send {sent}: {e}"))?;
         sent += 1;
         // Next inter-arrival: Exp(offered_rps) via inverse transform.

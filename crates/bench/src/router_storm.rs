@@ -470,7 +470,7 @@ pub fn run(cfg: &RouterStormConfig) -> Result<RouterStormReport, String> {
     let templates: Vec<StormTemplate> = build_templates(cfg.apps)
         .into_iter()
         .map(|t| {
-            let req = match parse_request(&t.line) {
+            let req = match parse_request(t.line()) {
                 Ok(Request::Map(req)) => *req,
                 _ => return Err("template line did not parse as a map request".to_string()),
             };

@@ -1,18 +1,22 @@
 //! Robustness storm for the mapping service (`repro serve-storm`).
 //!
-//! Where `serve-bench` measures steady-state SLOs, this harness attacks
-//! the failure paths of the two-tier cache stack, in four phases over
-//! one live TCP server + crash-durable L2 directory:
+//! This harness attacks the failure paths of the two-tier cache stack,
+//! in four phases over one live [`AsyncServer`] + crash-durable L2
+//! directory:
 //!
 //! 1. **Hot-fingerprint barrage** — many connections fire the *same*
-//!    request simultaneously at a cold service. Exactly **one** reply
-//!    may report `cached: false` (single pipeline run, asserted both on
-//!    the wire and against the service's miss counter); every reply
-//!    must be byte-identical to the cold oracle.
+//!    request simultaneously at a cold service. The pipeline runs
+//!    exactly **once**: the service's miss counter must read 1, and
+//!    every `cached: false` reply must carry the same trace id. (The
+//!    front end answers byte-identical lines of one batch once and
+//!    fans the reply out verbatim, so several connections may receive
+//!    that one compute's reply.) Every reply must be byte-identical to
+//!    the cold oracle.
 //! 2. **Pre-kill zipf campaign** — closed-loop clients replay a seeded
-//!    zipf mix; mid-campaign the service is **killed** (crash
-//!    simulation: workers stop, nothing is flushed) and every
-//!    still-queued request must come back with a typed error.
+//!    zipf mix; once the clients have seen half their replies the
+//!    service is **killed** (crash simulation: workers stop, nothing
+//!    is flushed) and every still-queued request must come back with a
+//!    typed error.
 //! 3. **Torn-tail restart** — the tail of the active L2 segment is
 //!    truncated (a partial final write), the service is restarted on
 //!    the same directory, and the zipf campaign re-runs. Recovery must
@@ -22,15 +26,20 @@
 //!    shutdown runs; every in-flight and queued request is answered
 //!    (mapping or typed error — zero untyped drops), and the drain
 //!    duration lands in the stats.
+//!
+//! Phase triggers count replies on the client side: deduped lines
+//! never reach the service's own admission counters.
 
-use crate::serve::{build_templates, drive_client, scrape_metrics, validate_prometheus, Zipf};
-use cachemap_service::server::Server;
+use crate::serve::{build_templates, scrape_metrics, validate_prometheus, Template, Zipf};
+use cachemap_service::aserver::AsyncServer;
 use cachemap_service::{MapService, ServiceConfig};
+use cachemap_util::check::Gen;
 use cachemap_util::{json, Json, ToJson};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -86,13 +95,15 @@ pub struct StormReport {
     pub seed: u64,
     /// Connections in the hot-fingerprint barrage.
     pub storm_connections: usize,
-    /// Replies in the barrage that reported `cached: false` (must be 1).
+    /// Distinct trace ids among the barrage's `cached: false` replies
+    /// (must be 1: one pipeline run, possibly fanned out to several
+    /// connections).
     pub storm_computes: u64,
     /// Requests that attached to the in-flight computation.
     pub storm_coalesced: u64,
-    /// Barrage replies whose trace carried a `follower` coalesce span —
-    /// must equal `storm_coalesced`: every waiter can point at the
-    /// in-flight computation it waited on.
+    /// Distinct trace ids among barrage replies carrying a `follower`
+    /// coalesce span — must equal `storm_coalesced`: every waiter can
+    /// point at the in-flight computation it waited on.
     pub storm_follower_spans: u64,
     /// `flight-slow_request-*.json` dumps left behind by the campaign.
     pub slow_dumps: u64,
@@ -200,24 +211,24 @@ fn count_dumps(dir: &Path, trigger: &str) -> u64 {
         .unwrap_or(0)
 }
 
+/// One barrage reply: whether it came from cache, its trace id, and
+/// whether its trace carries a coalesce span tagged `follower` (the
+/// request waited on the leader's compute).
+struct HotReply {
+    cached: bool,
+    trace_id: String,
+    follower: bool,
+}
+
 /// One barrage shooter: connect, wait for the barrier, fire the hot
-/// line once, parse the reply. Returns `(cached, follower)` — whether
-/// the reply came from cache, and whether its trace carries a coalesce
-/// span tagged `follower` (the request waited on the leader's compute).
-fn fire_hot(
-    addr: std::net::SocketAddr,
-    barrier: &Barrier,
-    line: &str,
-    cold_bytes: &str,
-) -> Result<(bool, bool), String> {
+/// line once, parse the reply.
+fn fire_hot(addr: SocketAddr, barrier: &Barrier, hot: &Template) -> Result<HotReply, String> {
     let stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
     let mut writer = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
     let mut reader = BufReader::new(stream);
     barrier.wait();
     writer
-        .write_all(line.as_bytes())
-        .and_then(|()| writer.write_all(b"\n"))
-        .and_then(|()| writer.flush())
+        .write_all(hot.frame.as_bytes())
         .map_err(|e| format!("write: {e}"))?;
     let mut reply = String::new();
     reader
@@ -231,12 +242,17 @@ fn fire_hot(
         .get("mapping")
         .ok_or("ok reply without a mapping")?
         .to_string_compact();
-    if got != cold_bytes {
+    if got != hot.cold_bytes {
         return Err("storm mapping diverged from the cold oracle".into());
     }
-    let follower = v
-        .get("trace")
-        .and_then(|t| t.get("stages"))
+    let trace = v.get("trace").ok_or("storm reply without a trace")?;
+    let trace_id = trace
+        .get("trace_id")
+        .and_then(Json::as_str)
+        .ok_or("storm trace without an id")?
+        .to_string();
+    let follower = trace
+        .get("stages")
         .and_then(Json::as_array)
         .is_some_and(|stages| {
             stages.iter().any(|s| {
@@ -244,7 +260,11 @@ fn fire_hot(
                     && s.get("role").and_then(Json::as_str) == Some("follower")
             })
         });
-    Ok((v.get("cached") == Some(&Json::Bool(true)), follower))
+    Ok(HotReply {
+        cached: v.get("cached") == Some(&Json::Bool(true)),
+        trace_id,
+        follower,
+    })
 }
 
 /// The newest `seg-*.log` file in the L2 directory.
@@ -262,55 +282,131 @@ fn last_segment(dir: &Path) -> Option<PathBuf> {
     segs.pop()
 }
 
+#[derive(Default)]
 struct ZipfOutcome {
     served: u64,
-    rejected: u64,
-    hit_rate: f64,
+    hits: u64,
     rejections: BTreeMap<String, u64>,
 }
 
-/// Answered-request total so far (all cache tiers + computes + waits).
-fn answered(svc: &MapService) -> u64 {
-    let s = svc.stats();
-    s.hits + s.l2_hits + s.misses + s.coalesced
+impl ZipfOutcome {
+    fn rejected(&self) -> u64 {
+        self.rejections.values().sum()
+    }
+
+    fn hit_rate(&self) -> f64 {
+        if self.served == 0 {
+            0.0
+        } else {
+            self.hits as f64 / self.served as f64
+        }
+    }
+
+    fn absorb(&mut self, other: ZipfOutcome) {
+        self.served += other.served;
+        self.hits += other.hits;
+        for (code, n) in other.rejections {
+            *self.rejections.entry(code).or_insert(0) += n;
+        }
+    }
 }
 
-/// Runs one closed-loop zipf campaign; optionally kills `victim` once
-/// roughly half the phase's requests have been answered.
+/// One closed-loop client: sends `requests` zipf-chosen templates one
+/// at a time over one connection, checks every mapping against the
+/// cold oracle, and tallies hits and typed rejections. Bumps `replies`
+/// once per answered request.
+fn drive_client(
+    addr: SocketAddr,
+    templates: &[Template],
+    zipf: &Zipf,
+    seed: u64,
+    requests: usize,
+    replies: &AtomicU64,
+) -> Result<ZipfOutcome, String> {
+    let stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
+    let mut writer = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
+    let mut reader = BufReader::new(stream);
+    let mut g = Gen::from_seed(seed);
+    let mut tally = ZipfOutcome::default();
+    let mut reply = String::new();
+    for k in 0..requests {
+        let t = &templates[zipf.sample(&mut g)];
+        writer
+            .write_all(t.frame.as_bytes())
+            .map_err(|e| format!("request {k}: write: {e}"))?;
+        reply.clear();
+        reader
+            .read_line(&mut reply)
+            .map_err(|e| format!("request {k}: read: {e}"))?;
+        if reply.is_empty() {
+            return Err(format!("request {k}: connection closed without a reply"));
+        }
+        replies.fetch_add(1, Ordering::Relaxed);
+        let v = json::parse(&reply).map_err(|e| format!("request {k}: bad reply json: {e}"))?;
+        match v.get("status").and_then(Json::as_str) {
+            Some("ok") => {
+                // Hit or miss, the bytes match the cold run.
+                let mapping = v
+                    .get("mapping")
+                    .ok_or_else(|| format!("request {k}: ok reply without a mapping"))?;
+                if mapping.to_string_compact() != t.cold_bytes {
+                    return Err(format!(
+                        "request {k}: mapping diverged from the cold pipeline"
+                    ));
+                }
+                tally.served += 1;
+                tally.hits += u64::from(v.get("cached") == Some(&Json::Bool(true)));
+            }
+            Some("error") => {
+                // Rejections carry a typed code.
+                let code = v
+                    .get("error")
+                    .and_then(|e| e.get("code"))
+                    .and_then(Json::as_str)
+                    .filter(|c| !c.is_empty())
+                    .ok_or_else(|| format!("request {k}: error reply without a code"))?;
+                *tally.rejections.entry(code.to_string()).or_insert(0) += 1;
+            }
+            other => return Err(format!("request {k}: unrecognized status {other:?}")),
+        }
+    }
+    Ok(tally)
+}
+
+/// Runs one closed-loop zipf campaign of `requests` over `cfg.clients`
+/// connections. With a `trigger`, `action` runs once the clients have
+/// seen `at` replies (or after a hard 10 s backstop, so a stall cannot
+/// hang the harness) — while clients are still mid-flight.
 fn zipf_phase(
-    addr: std::net::SocketAddr,
-    templates: &[crate::serve::Template],
+    addr: SocketAddr,
+    templates: &[Template],
     cfg: &StormConfig,
+    requests: usize,
     phase_seed: u64,
-    victim: Option<&Arc<MapService>>,
+    trigger: Option<(u64, &(dyn Fn() + Sync))>,
 ) -> Result<ZipfOutcome, String> {
     let zipf = Zipf::new(templates.len());
     let clients = cfg.clients.max(1);
-    let killer = victim.map(|svc| {
-        let svc = Arc::clone(svc);
-        let half = (cfg.zipf_requests / 2) as u64;
-        let baseline = answered(&svc);
-        std::thread::spawn(move || {
-            // Kill mid-campaign (or after a hard 10s backstop, so a
-            // stall cannot hang the harness).
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while answered(&svc) - baseline < half && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            svc.kill();
-        })
-    });
-
-    // Scoped threads (not the shared pool): the kill must be able to
-    // land while clients are mid-flight.
-    let tallies: Vec<Result<crate::serve::ClientTally, String>> = std::thread::scope(|s| {
+    let replies = AtomicU64::new(0);
+    // Scoped threads (not the shared pool): the trigger must be able
+    // to land while clients are mid-flight.
+    let tallies: Vec<Result<ZipfOutcome, String>> = std::thread::scope(|s| {
+        if let Some((at, action)) = trigger {
+            let replies = &replies;
+            s.spawn(move || {
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while replies.load(Ordering::Relaxed) < at && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                action();
+            });
+        }
         let joins: Vec<_> = (0..clients)
             .map(|c| {
-                let share =
-                    cfg.zipf_requests / clients + usize::from(c < cfg.zipf_requests % clients);
+                let share = requests / clients + usize::from(c < requests % clients);
                 let seed = phase_seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (c as u64 + 1);
-                let zipf = &zipf;
-                s.spawn(move || drive_client(addr, templates, zipf, seed, share))
+                let (zipf, replies) = (&zipf, &replies);
+                s.spawn(move || drive_client(addr, templates, zipf, seed, share, replies))
             })
             .collect();
         joins
@@ -321,40 +417,20 @@ fn zipf_phase(
             })
             .collect()
     });
-    if let Some(k) = killer {
-        let _ = k.join();
-    }
 
-    let mut served = 0u64;
-    let mut hits = 0u64;
-    let mut rejections: BTreeMap<String, u64> = BTreeMap::new();
+    let mut total = ZipfOutcome::default();
     for tally in tallies {
-        let tally = tally?;
-        served += tally.hits + tally.computed;
-        hits += tally.hits;
-        for (code, n) in tally.rejections {
-            *rejections.entry(code).or_insert(0) += n;
-        }
+        total.absorb(tally?);
     }
-    let rejected: u64 = rejections.values().sum();
     // Zero untyped drops: every request in the phase is accounted for.
-    if (served + rejected) as usize != cfg.zipf_requests {
+    if (total.served + total.rejected()) as usize != requests {
         return Err(format!(
-            "phase dropped requests silently: {served} served + {rejected} rejected != {}",
-            cfg.zipf_requests
+            "phase dropped requests silently: {} served + {} rejected != {requests}",
+            total.served,
+            total.rejected()
         ));
     }
-    let hit_rate = if served == 0 {
-        0.0
-    } else {
-        hits as f64 / served as f64
-    };
-    Ok(ZipfOutcome {
-        served,
-        rejected,
-        hit_rate,
-        rejections,
-    })
+    Ok(total)
 }
 
 /// Runs the full storm. Panics (via `Err`) on any violated invariant.
@@ -375,35 +451,42 @@ pub fn run(cfg: &StormConfig) -> Result<StormReport, String> {
 
     // ---- Phase 1 + 2: cold service, hot barrage, then zipf + kill.
     let service = Arc::new(MapService::start(service_config(&dir)));
-    let server =
-        Server::spawn("127.0.0.1:0", Arc::clone(&service)).map_err(|e| format!("bind: {e}"))?;
+    let server = AsyncServer::spawn("127.0.0.1:0", Arc::clone(&service))
+        .map_err(|e| format!("bind: {e}"))?;
     let addr = server.addr();
 
     let shooters = cfg.storm_connections.max(2);
-    let barrier = Arc::new(Barrier::new(shooters));
-    let hot_line = templates[0].line.clone();
-    let hot_cold = templates[0].cold_bytes.clone();
-    let storm_joins: Vec<_> = (0..shooters)
-        .map(|_| {
-            let b = Arc::clone(&barrier);
-            let line = hot_line.clone();
-            let cold = hot_cold.clone();
-            std::thread::spawn(move || fire_hot(addr, &b, &line, &cold))
-        })
-        .collect();
-    let mut storm_computes = 0u64;
-    let mut storm_follower_spans = 0u64;
-    for j in storm_joins {
-        let (cached, follower) = j.join().map_err(|_| "storm shooter panicked")??;
-        if !cached {
-            storm_computes += 1;
+    let barrier = Barrier::new(shooters);
+    let hot = &templates[0];
+    let hot_replies: Vec<Result<HotReply, String>> = std::thread::scope(|s| {
+        let joins: Vec<_> = (0..shooters)
+            .map(|_| s.spawn(|| fire_hot(addr, &barrier, hot)))
+            .collect();
+        joins
+            .into_iter()
+            .map(|j| {
+                j.join()
+                    .unwrap_or_else(|_| Err("storm shooter panicked".into()))
+            })
+            .collect()
+    });
+    let mut compute_ids = BTreeSet::new();
+    let mut follower_ids = BTreeSet::new();
+    for reply in hot_replies {
+        let reply = reply?;
+        if !reply.cached {
+            compute_ids.insert(reply.trace_id.clone());
         }
-        storm_follower_spans += u64::from(follower);
+        if reply.follower {
+            follower_ids.insert(reply.trace_id);
+        }
     }
     let storm_stats = service.stats();
-    if storm_computes != 1 {
+    if compute_ids.len() != 1 {
         return Err(format!(
-            "hot barrage: expected exactly 1 computed reply, saw {storm_computes}"
+            "hot barrage: expected one computing request, saw {} trace ids on \
+             cached:false replies",
+            compute_ids.len()
         ));
     }
     if storm_stats.misses != 1 {
@@ -414,17 +497,26 @@ pub fn run(cfg: &StormConfig) -> Result<StormReport, String> {
     }
     // Attribution invariant: every coalesced waiter's trace points at
     // the computation it waited on — a `follower` span per attach.
-    if storm_follower_spans != storm_stats.coalesced {
+    if follower_ids.len() as u64 != storm_stats.coalesced {
         return Err(format!(
-            "hot barrage: {} follower spans but {} coalesce attaches",
-            storm_follower_spans, storm_stats.coalesced
+            "hot barrage: {} follower trace ids but {} coalesce attaches",
+            follower_ids.len(),
+            storm_stats.coalesced
         ));
     }
 
-    let prekill = zipf_phase(addr, &templates, cfg, cfg.seed, Some(&service))?;
+    let kill = || service.kill();
+    let half = (cfg.zipf_requests / 2) as u64;
+    let prekill = zipf_phase(
+        addr,
+        &templates,
+        cfg,
+        cfg.zipf_requests,
+        cfg.seed,
+        Some((half, &kill)),
+    )?;
     // The kill must not leave untyped wreckage: everything rejected
-    // during the window carried a code (zipf_phase already summed it).
-    server.shutdown();
+    // during the window carried a code (zipf_phase already checked).
     drop(server);
     drop(service);
 
@@ -446,48 +538,42 @@ pub fn run(cfg: &StormConfig) -> Result<StormReport, String> {
     };
     let service2 = Arc::new(MapService::start(service_config(&dir)));
     let recovered_entries = service2.l2_entries().unwrap_or(0) as u64;
-    let server2 =
-        Server::spawn("127.0.0.1:0", Arc::clone(&service2)).map_err(|e| format!("re-bind: {e}"))?;
+    let server2 = AsyncServer::spawn("127.0.0.1:0", Arc::clone(&service2))
+        .map_err(|e| format!("re-bind: {e}"))?;
     let addr2 = server2.addr();
 
-    let post = zipf_phase(addr2, &templates, cfg, cfg.seed ^ 0x5a5a, None)?;
-    let warm_ratio = if prekill.hit_rate > 0.0 {
-        post.hit_rate / prekill.hit_rate
+    let post = zipf_phase(
+        addr2,
+        &templates,
+        cfg,
+        cfg.zipf_requests,
+        cfg.seed ^ 0x5a5a,
+        None,
+    )?;
+    let warm_ratio = if prekill.hit_rate() > 0.0 {
+        post.hit_rate() / prekill.hit_rate()
     } else {
         1.0
     };
-    if prekill.hit_rate > 0.0 && warm_ratio < 0.8 {
+    if prekill.hit_rate() > 0.0 && warm_ratio < 0.8 {
         return Err(format!(
             "warm restart regressed: post-restart hit rate {:.3} < 80% of pre-kill {:.3}",
-            post.hit_rate, prekill.hit_rate
+            post.hit_rate(),
+            prekill.hit_rate()
         ));
     }
 
     // ---- Phase 4: graceful drain under live load.
     let drain_requests = (cfg.zipf_requests / 2).max(cfg.clients.max(1)) as u64;
-    let drainer = {
-        let svc = Arc::clone(&service2);
-        let at_least = drain_requests / 4;
-        let baseline = answered(&svc);
-        std::thread::spawn(move || {
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while answered(&svc) - baseline < at_least && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            svc.shutdown();
-        })
-    };
-    let drain_cfg = StormConfig {
-        zipf_requests: drain_requests as usize,
-        ..cfg.clone()
-    };
-    let drain = zipf_phase(addr2, &templates, &drain_cfg, cfg.seed ^ 0xd3a1, None)?;
-    let _ = drainer.join();
-    for code in drain.rejections.keys() {
-        if code.is_empty() {
-            return Err("drain produced an empty rejection code".into());
-        }
-    }
+    let drain_now = || service2.shutdown();
+    let drain = zipf_phase(
+        addr2,
+        &templates,
+        cfg,
+        drain_requests as usize,
+        cfg.seed ^ 0xd3a1,
+        Some((drain_requests / 4, &drain_now)),
+    )?;
     let drain_seconds = service2.stats().drain_seconds;
     if drain_seconds <= 0.0 {
         return Err("graceful drain did not record its duration".into());
@@ -506,7 +592,6 @@ pub fn run(cfg: &StormConfig) -> Result<StormReport, String> {
         }
     }
 
-    server2.shutdown();
     drop(server2);
     drop(service2);
 
@@ -517,7 +602,7 @@ pub fn run(cfg: &StormConfig) -> Result<StormReport, String> {
     let recovery_dumps = count_dumps(&dir, "recovery");
     let drain_dumps = count_dumps(&dir, "drain");
     if slow_dumps == 0 {
-        return Err("no slow_request flight dump despite coalesce waits over 1 ms".into());
+        return Err("no slow_request flight dump despite the 1 ms slow threshold".into());
     }
     if torn_bytes > 0 && recovery_dumps == 0 {
         return Err("torn-tail restart left no recovery flight dump".into());
@@ -532,22 +617,22 @@ pub fn run(cfg: &StormConfig) -> Result<StormReport, String> {
     Ok(StormReport {
         seed: cfg.seed,
         storm_connections: shooters,
-        storm_computes,
+        storm_computes: compute_ids.len() as u64,
         storm_coalesced: storm_stats.coalesced,
-        storm_follower_spans,
+        storm_follower_spans: follower_ids.len() as u64,
         slow_dumps,
         recovery_dumps,
         drain_dumps,
         prekill_served: prekill.served,
-        prekill_rejected: prekill.rejected,
-        prekill_hit_rate: prekill.hit_rate,
+        prekill_rejected: prekill.rejected(),
+        prekill_hit_rate: prekill.hit_rate(),
         torn_bytes,
         recovered_entries,
-        postrestart_hit_rate: post.hit_rate,
+        postrestart_hit_rate: post.hit_rate(),
         warm_ratio,
         drain_requests,
         drain_served: drain.served,
-        drain_rejected_typed: drain.rejected,
+        drain_rejected_typed: drain.rejected(),
         drain_seconds,
         elapsed_ms: t0.elapsed().as_secs_f64() * 1e3,
         metrics_schema_ok: true,
@@ -559,7 +644,7 @@ pub fn render(report: &StormReport) -> String {
     format!(
         "== serve-storm — seed {} ==\n\
          barrage       {:>8} connections, {} compute, {} coalesced\n\
-         attribution   {:>8} follower spans (one per coalesce attach)\n\
+         attribution   {:>8} follower trace ids (one per coalesce attach)\n\
          pre-kill      {:>8} served + {} typed rejections (hit rate {:.1}%)\n\
          torn tail     {:>8} bytes cut; {} L2 entries recovered\n\
          post-restart  hit rate {:.1}%  (warm ratio {:.2}, gate ≥ 0.80)\n\

@@ -1,22 +1,25 @@
-//! The event-loop front end: [`AsyncServer`] serves the same protocol
-//! as [`crate::server::Server`] on a `cachemap-aio` event loop.
+//! The TCP front end: [`AsyncServer`] serves JSON-lines requests plus
+//! a plain-HTTP `GET /metrics` endpoint on one port, on a
+//! `cachemap-aio` event loop.
 //!
 //! One `aio` thread owns every socket (10k+ connections on a few MB
 //! instead of 10k thread stacks); decoded frames arrive in **batches**
 //! at a small dispatcher pool which (1) dedups byte-identical request
 //! lines inside each batch — the same-fingerprint case, answered once
-//! and fanned out verbatim — and (2) runs the shared
-//! [`crate::dispatch`] protocol module, so the two front ends cannot
-//! disagree about a single reply byte. Replies flow back through the
-//! loop's completion queue; a stale connection generation drops the
-//! reply instead of writing into a recycled slot.
+//! and fanned out verbatim — and (2) runs the [`crate::dispatch`]
+//! protocol module. Replies flow back through the loop's completion
+//! queue; a stale connection generation drops the reply instead of
+//! writing into a recycled slot.
 //!
-//! Loop-level health is exported on the *service's* metric registry
-//! (`cachemap_aio_*`, preregistered at zero so the first scrape
-//! carries the schema), and an accept-loop stall — the loop thread
-//! overrunning its poll deadline past the grace — fires the service
-//! flight recorder's `accept_stall` trigger while the evidence is
-//! fresh.
+//! Transport-level policy closes (a connection over the cap, one idle
+//! past its read budget) are answered with one typed error line and
+//! counted on the service's
+//! `cachemap_service_front_end_rejections_total`. Loop-level health is
+//! exported on the *service's* metric registry (`cachemap_aio_*`,
+//! preregistered at zero so the first scrape carries the schema), and
+//! an accept-loop stall — the loop thread overrunning its poll
+//! deadline past the grace — fires the service flight recorder's
+//! `accept_stall` trigger while the evidence is fresh.
 
 use crate::dispatch;
 use crate::MapService;
@@ -26,7 +29,7 @@ use cachemap_util::{Clock, Json};
 use std::collections::VecDeque;
 use std::io;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Batch-size histogram buckets (requests per dispatched batch).
@@ -75,19 +78,62 @@ impl Default for AsyncServerConfig {
     }
 }
 
-/// Last-exported loop-counter values, for delta export into the
-/// service registry (counters must only ever grow).
-#[derive(Default)]
-struct StatCursor {
-    wakeups: u64,
-    backpressure: u64,
-    accepted: u64,
-    rejected: u64,
-    frames: u64,
-    batches: u64,
-    idle_timeouts: u64,
-    stalls: u64,
-}
+/// Batch-size histogram family.
+const BATCH_SIZE: (&str, &str) = ("cachemap_aio_batch_size", "Requests per dispatched batch");
+
+/// Open-connection gauge family (exported as a level, not a delta).
+const CONNECTIONS: (&str, &str) = (
+    "cachemap_aio_connections",
+    "Open connections on the async front end",
+);
+
+/// Selects one counter out of the loop's [`LoopStats`].
+type LoopCounter = fn(&LoopStats) -> &AtomicU64;
+
+/// Every `cachemap_aio_*` counter family: name, help, and the loop
+/// counter it mirrors. Drives both preregistration and delta export.
+const COUNTERS: [(&str, &str, LoopCounter); 8] = [
+    (
+        "cachemap_aio_wakeups_total",
+        "Event-loop poll returns",
+        |s| &s.wakeups_total,
+    ),
+    (
+        "cachemap_aio_backpressure_total",
+        "Connections paused for unread reply backlog",
+        |s| &s.backpressure_total,
+    ),
+    (
+        "cachemap_aio_accepted_total",
+        "Connections accepted by the async front end",
+        |s| &s.accepted_total,
+    ),
+    (
+        "cachemap_aio_rejected_total",
+        "Connections rejected at the async front end's capacity cap",
+        |s| &s.rejected_capacity_total,
+    ),
+    (
+        "cachemap_aio_frames_total",
+        "Request frames decoded by the async front end",
+        |s| &s.frames_total,
+    ),
+    (
+        "cachemap_aio_batches_total",
+        "Frame batches dispatched to the worker pool",
+        |s| &s.batches_total,
+    ),
+    (
+        "cachemap_aio_idle_timeouts_total",
+        "Connections closed at the idle read deadline",
+        |s| &s.idle_timeouts_total,
+    ),
+    (
+        "cachemap_aio_stalls_total",
+        "Accept-loop poll cycles that overran the stall grace",
+        |s| &s.stalls_total,
+    ),
+];
 
 /// The [`Dispatch`] implementation: a bounded handoff queue feeding a
 /// small worker pool.
@@ -98,142 +144,35 @@ struct Batcher {
     stop: AtomicBool,
     /// Loop stats, wired after the loop spawns (the loop owns them).
     loop_stats: OnceLock<Arc<LoopStats>>,
-    cursor: Mutex<StatCursor>,
+    /// Last-exported value of each [`COUNTERS`] entry: counters only
+    /// ever grow, so each sync adds the delta.
+    exported: Mutex<[u64; COUNTERS.len()]>,
 }
 
 impl Batcher {
     /// Folds the loop's atomic counters into the service registry as
     /// deltas (and the connection gauge as a level). Runs before each
     /// batch, so a `metrics`/`GET /metrics` request in the batch
-    /// scrapes fresh values.
+    /// scrapes fresh values. Before the loop is wired it exports every
+    /// family at zero, so the first scrape already carries the schema.
     fn sync_metrics(&self) {
-        let Some(stats) = self.loop_stats.get() else {
-            return;
-        };
-        let mut cur = self.cursor.lock().expect("stat cursor poisoned");
+        let stats = self.loop_stats.get();
+        let mut exported = self.exported.lock().expect("exported counters poisoned");
         let mut m = self.service.inner.metrics.lock().expect("metrics poisoned");
-        m.gauge_set(
-            "cachemap_aio_connections",
-            "Open connections on the async front end",
-            &[],
-            stats.connections.load(Ordering::Relaxed) as f64,
-        );
-        let counter =
-            |m: &mut cachemap_obs::Registry, name: &str, help: &str, last: &mut u64, now: u64| {
-                m.counter_add(name, help, &[], now.saturating_sub(*last));
-                *last = now;
-            };
-        counter(
-            &mut m,
-            "cachemap_aio_wakeups_total",
-            "Event-loop poll returns",
-            &mut cur.wakeups,
-            stats.wakeups_total.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut m,
-            "cachemap_aio_backpressure_total",
-            "Connections paused for unread reply backlog",
-            &mut cur.backpressure,
-            stats.backpressure_total.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut m,
-            "cachemap_aio_accepted_total",
-            "Connections accepted by the async front end",
-            &mut cur.accepted,
-            stats.accepted_total.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut m,
-            "cachemap_aio_rejected_total",
-            "Connections rejected at the async front end's capacity cap",
-            &mut cur.rejected,
-            stats.rejected_capacity_total.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut m,
-            "cachemap_aio_frames_total",
-            "Request frames decoded by the async front end",
-            &mut cur.frames,
-            stats.frames_total.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut m,
-            "cachemap_aio_batches_total",
-            "Frame batches dispatched to the worker pool",
-            &mut cur.batches,
-            stats.batches_total.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut m,
-            "cachemap_aio_idle_timeouts_total",
-            "Connections closed at the idle read deadline",
-            &mut cur.idle_timeouts,
-            stats.idle_timeouts_total.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut m,
-            "cachemap_aio_stalls_total",
-            "Accept-loop poll cycles that overran the stall grace",
-            &mut cur.stalls,
-            stats.stalls_total.load(Ordering::Relaxed),
-        );
-    }
-
-    /// Declares every `cachemap_aio_*` family at zero so the first
-    /// scrape already carries the schema.
-    fn preregister(&self) {
-        self.sync_metrics_zero();
-    }
-
-    fn sync_metrics_zero(&self) {
-        let mut m = self.service.inner.metrics.lock().expect("metrics poisoned");
-        m.gauge_set(
-            "cachemap_aio_connections",
-            "Open connections on the async front end",
-            &[],
-            0.0,
-        );
-        for (name, help) in [
-            ("cachemap_aio_wakeups_total", "Event-loop poll returns"),
-            (
-                "cachemap_aio_backpressure_total",
-                "Connections paused for unread reply backlog",
-            ),
-            (
-                "cachemap_aio_accepted_total",
-                "Connections accepted by the async front end",
-            ),
-            (
-                "cachemap_aio_rejected_total",
-                "Connections rejected at the async front end's capacity cap",
-            ),
-            (
-                "cachemap_aio_frames_total",
-                "Request frames decoded by the async front end",
-            ),
-            (
-                "cachemap_aio_batches_total",
-                "Frame batches dispatched to the worker pool",
-            ),
-            (
-                "cachemap_aio_idle_timeouts_total",
-                "Connections closed at the idle read deadline",
-            ),
-            (
-                "cachemap_aio_stalls_total",
-                "Accept-loop poll cycles that overran the stall grace",
-            ),
-        ] {
-            m.counter_add(name, help, &[], 0);
+        let connections = stats.map_or(0, |s| s.connections.load(Ordering::Relaxed));
+        m.gauge_set(CONNECTIONS.0, CONNECTIONS.1, &[], connections as f64);
+        for ((name, help, counter), last) in COUNTERS.iter().zip(exported.iter_mut()) {
+            let now = stats.map_or(0, |s| counter(s).load(Ordering::Relaxed));
+            m.counter_add(name, help, &[], now.saturating_sub(*last));
+            *last = now;
         }
-        m.histogram_declare(
-            "cachemap_aio_batch_size",
-            "Requests per dispatched batch",
-            &BATCH_BUCKETS,
-            &[],
-        );
+    }
+
+    /// Declares every `cachemap_aio_*` family at zero.
+    fn preregister(&self) {
+        self.sync_metrics();
+        let mut m = self.service.inner.metrics.lock().expect("metrics poisoned");
+        m.histogram_declare(BATCH_SIZE.0, BATCH_SIZE.1, &BATCH_BUCKETS, &[]);
     }
 
     /// One dispatcher thread: drain batches, dedup identical lines,
@@ -261,8 +200,8 @@ impl Batcher {
             {
                 let mut m = self.service.inner.metrics.lock().expect("metrics poisoned");
                 m.histogram_observe(
-                    "cachemap_aio_batch_size",
-                    "Requests per dispatched batch",
+                    BATCH_SIZE.0,
+                    BATCH_SIZE.1,
                     &BATCH_BUCKETS,
                     &[],
                     batch.len() as f64,
@@ -368,6 +307,10 @@ impl Dispatch for Batcher {
     fn on_idle_timeout(&self) {
         self.service.count_front_end_rejection("read_timeout");
     }
+
+    fn on_over_capacity(&self) {
+        self.service.count_front_end_rejection("conn_limit");
+    }
 }
 
 /// A running async front end. Dropping it shuts it down and joins its
@@ -398,7 +341,7 @@ impl AsyncServer {
             available: Condvar::new(),
             stop: AtomicBool::new(false),
             loop_stats: OnceLock::new(),
-            cursor: Mutex::new(StatCursor::default()),
+            exported: Mutex::new([0; COUNTERS.len()]),
         });
         batcher.preregister();
         let loop_cfg = aio::EventLoopConfig {

@@ -192,7 +192,7 @@ impl Backend for NullBackend {
     }
 }
 
-/// A TCP replica speaking the JSON-lines protocol of [`crate::server`].
+/// A TCP replica speaking the JSON-lines protocol of [`crate::aserver`].
 /// One persistent connection, re-established on demand; every I/O
 /// failure tears the connection down and surfaces as
 /// [`BackendError::Unavailable`].
@@ -237,8 +237,12 @@ impl TcpBackend {
             reader
                 .get_ref()
                 .set_read_timeout(Some(Duration::from_millis(read_timeout_ms.max(1))))?;
-            reader.get_mut().write_all(line.as_bytes())?;
-            reader.get_mut().write_all(b"\n")?;
+            // Line and terminator in one write: a split frame can sit
+            // out a delayed ACK on the server side.
+            let mut frame = String::with_capacity(line.len() + 1);
+            frame.push_str(line);
+            frame.push('\n');
+            reader.get_mut().write_all(frame.as_bytes())?;
             reader.get_mut().flush()?;
             let mut reply = String::new();
             if reader.read_line(&mut reply)? == 0 {
