@@ -24,9 +24,8 @@
 //! renders such artifacts; `repro resilience` additionally exports an
 //! artifact showing the crash → failover → steady-state timeline.
 
-use cachemap_bench::{experiments, report::Matrix, write_report};
+use cachemap_bench::{experiments, record, report::Matrix, write_report, BenchFile};
 use cachemap_storage::PlatformConfig;
-use cachemap_util::ToJson;
 use cachemap_workloads::Scale;
 
 fn emit(matrices: &[Matrix]) {
@@ -102,31 +101,66 @@ fn worked_example() -> String {
     out
 }
 
-/// Updates one section of the committed `BENCH_service.json`, which
-/// holds `{"open": {…}, "router": {…}, "storm": {…}}`. A missing file
-/// or one with any other key starts a fresh sectioned object.
-fn merge_bench_service(section: &str, value: cachemap_util::Json) -> std::io::Result<()> {
-    use cachemap_util::Json;
-    let path = "BENCH_service.json";
-    let mut pairs: Vec<(String, Json)> = match std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| cachemap_util::json::parse(&text).ok())
-    {
-        Some(Json::Object(pairs))
-            if pairs
-                .iter()
-                .all(|(k, _)| k == "open" || k == "router" || k == "storm") =>
-        {
-            pairs
-        }
-        _ => Vec::new(),
-    };
-    match pairs.iter_mut().find(|(k, _)| k == section) {
-        Some(slot) => slot.1 = value,
-        None => pairs.push((section.to_string(), value)),
+/// What a file-taking subcommand does with one `(path, text)`.
+type PerFile = fn(&str, &str);
+
+/// Runs `each(path, text)` over the file arguments of a file-taking
+/// subcommand (`obs`, `trace`, `advisor-check`). No paths prints
+/// `usage`; an unreadable path ends the run — both with status 2.
+fn for_each_file(paths: &[String], usage: &str, each: PerFile) {
+    if paths.is_empty() {
+        eprintln!("{usage}");
+        std::process::exit(2);
     }
-    pairs.sort_by(|a, b| a.0.cmp(&b.0));
-    std::fs::write(path, Json::Object(pairs).to_string_pretty())
+    for path in paths {
+        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+            eprintln!("cannot read {path}: {e}");
+            std::process::exit(2);
+        });
+        each(path, &text);
+    }
+}
+
+/// `repro obs`: renders one exported observability artifact.
+fn render_obs(path: &str, text: &str) {
+    match cachemap_obs::ObsArtifact::parse(text) {
+        Ok(a) => println!("{}", cachemap_bench::render_artifact(&a)),
+        Err(e) => {
+            eprintln!("{path}: {e}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// `repro trace`: renders one request trace or flight-recorder dump.
+fn render_trace(path: &str, text: &str) {
+    let parsed = cachemap_util::json::parse(text).unwrap_or_else(|e| {
+        eprintln!("{path}: not JSON: {e}");
+        std::process::exit(2);
+    });
+    match cachemap_bench::tracefmt::render(&parsed) {
+        Ok(rendered) => println!("{rendered}"),
+        Err(e) => {
+            eprintln!("{path}: {e}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// `repro advisor-check`: validates one advisor report; a bad file
+/// exits 1.
+fn check_advisor(path: &str, text: &str) {
+    let parsed = cachemap_util::json::parse(text).unwrap_or_else(|e| {
+        eprintln!("{path}: not JSON: {e}");
+        std::process::exit(1);
+    });
+    match cachemap_bench::advisor::validate_report(&parsed) {
+        Ok(()) => println!("{path}: valid advisor report"),
+        Err(e) => {
+            eprintln!("{path}: schema violation: {e}");
+            std::process::exit(1);
+        }
+    }
 }
 
 /// The `<seed>` of a `name[:<seed>]` subcommand (42 when omitted).
@@ -168,11 +202,6 @@ fn usage() -> String {
      \x20                               L2 tier, CACHEMAP_L2_TTL_SECS its TTL,\n\
      \x20                               CACHEMAP_TRACING=1 enables request\n\
      \x20                               tracing + the flight recorder)\n\
-     \x20 serve-open[:<rps>[:<secs>]]   open-loop Poisson campaign against\n\
-     \x20                               the server: offered vs\n\
-     \x20                               achieved RPS, p99 gate, 10k idle\n\
-     \x20                               connections parked (default\n\
-     \x20                               1200 req/s for 8 s, seed 42)\n\
      \x20 serve-storm[:<seed>]          robustness storm: hot-fingerprint\n\
      \x20                               coalescing barrage, mid-campaign\n\
      \x20                               kill + torn-tail restart, graceful\n\
@@ -195,7 +224,14 @@ fn usage() -> String {
      \x20 advisor-check <file...>       validate advisor reports against\n\
      \x20                               the BENCH_policies.json schema\n\
      help:\n\
-     \x20 help | --help | -h            this screen"
+     \x20 help | --help | -h            this screen\n\
+     \n\
+     serve-storm, router-storm, bench-cluster and advisor write their\n\
+     committed BENCH_*.json record (or section) only at paper scale;\n\
+     every run also writes a reports/BENCH_*-<seed>.json copy, and a\n\
+     --test-scale run writes only that copy. Open-loop serving latency\n\
+     and throughput are measured by the repository benchmark\n\
+     (benchmark/README.md)."
         .to_string()
 }
 
@@ -218,79 +254,23 @@ fn main() {
         std::process::exit(2);
     }
 
-    // `repro obs <path...>` renders exported artifacts; the remaining
-    // arguments are file paths, not experiment names.
-    if wanted[0] == "obs" {
-        if wanted.len() < 2 {
-            eprintln!("usage: repro obs <artifact.obs.json...>");
-            std::process::exit(2);
-        }
-        for path in &wanted[1..] {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("cannot read {path}: {e}");
-                std::process::exit(2);
-            });
-            match cachemap_obs::ObsArtifact::parse(&text) {
-                Ok(a) => println!("{}", cachemap_bench::render_artifact(&a)),
-                Err(e) => {
-                    eprintln!("{path}: {e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-        return;
-    }
-    // `repro trace <path...>` renders request traces and flight-recorder
-    // dumps; the remaining arguments are file paths. (The colon form
-    // `trace:<app>` below is the unrelated reuse-distance diagnostic.)
-    if wanted[0] == "trace" {
-        if wanted.len() < 2 {
-            eprintln!("usage: repro trace <flight-*.json | trace.json ...>");
-            std::process::exit(2);
-        }
-        for path in &wanted[1..] {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("cannot read {path}: {e}");
-                std::process::exit(2);
-            });
-            let parsed = cachemap_util::json::parse(&text).unwrap_or_else(|e| {
-                eprintln!("{path}: not JSON: {e}");
-                std::process::exit(2);
-            });
-            match cachemap_bench::tracefmt::render(&parsed) {
-                Ok(rendered) => println!("{rendered}"),
-                Err(e) => {
-                    eprintln!("{path}: {e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-        return;
-    }
-    // `repro advisor-check <path...>` validates advisor reports; the
-    // remaining arguments are file paths, not experiment names.
-    if wanted[0] == "advisor-check" {
-        if wanted.len() < 2 {
-            eprintln!("usage: repro advisor-check <BENCH_policies.json...>");
-            std::process::exit(2);
-        }
-        for path in &wanted[1..] {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("cannot read {path}: {e}");
-                std::process::exit(2);
-            });
-            let parsed = cachemap_util::json::parse(&text).unwrap_or_else(|e| {
-                eprintln!("{path}: not JSON: {e}");
-                std::process::exit(1);
-            });
-            match cachemap_bench::advisor::validate_report(&parsed) {
-                Ok(()) => println!("{path}: valid advisor report"),
-                Err(e) => {
-                    eprintln!("{path}: schema violation: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
+    // `repro obs`, `repro trace` and `repro advisor-check` take file
+    // paths, not experiment names. (The colon form `trace:<app>` below
+    // is the unrelated reuse-distance diagnostic.)
+    let file_cmd: Option<(&str, PerFile)> = match wanted[0].as_str() {
+        "obs" => Some(("usage: repro obs <artifact.obs.json...>", render_obs)),
+        "trace" => Some((
+            "usage: repro trace <flight-*.json | trace.json ...>",
+            render_trace,
+        )),
+        "advisor-check" => Some((
+            "usage: repro advisor-check <BENCH_policies.json...>",
+            check_advisor,
+        )),
+        _ => None,
+    };
+    if let Some((usage, each)) = file_cmd {
+        for_each_file(&wanted[1..], usage, each);
         return;
     }
     // `repro chaos-replay <path...>` re-runs shrunk chaos plans; the
@@ -359,11 +339,12 @@ fn main() {
         Scale::Paper
     };
     let platform = PlatformConfig::paper_default();
+    // Campaign records land relative to the working directory.
+    let root = std::path::Path::new(".");
 
     // The default-platform runs are shared by table2 / fig10 / fig11 /
     // fig18; compute them lazily, at most once.
     let mut default_runs: Option<Vec<cachemap_bench::AppResults>> = None;
-    let needs_default = ["table2", "fig10", "fig11", "fig18"];
     let mut get_runs = |scale: Scale, platform: &PlatformConfig| {
         if default_runs.is_none() {
             eprintln!("[running default-platform suite: 8 apps × 4 versions …]");
@@ -371,7 +352,6 @@ fn main() {
         }
         default_runs.clone().unwrap()
     };
-    let _ = needs_default;
 
     for exp in &wanted {
         match exp.as_str() {
@@ -724,66 +704,6 @@ fn main() {
                     println!("  trace client {c}: {firsts:?}");
                 }
             }
-            // Hidden: the idle-fleet holder `serve-open` spawns so its
-            // thousands of parked client fds live in their own process.
-            s if s.starts_with("idle-hold:") => {
-                let rest = &s["idle-hold:".len()..];
-                let (addr, count) = rest
-                    .rsplit_once(':')
-                    .unwrap_or_else(|| panic!("bad idle-hold spec: {rest}"));
-                let count: usize = count
-                    .parse()
-                    .unwrap_or_else(|_| panic!("bad idle-hold count: {count}"));
-                if let Err(e) = cachemap_bench::open_loop::idle_hold(addr, count) {
-                    eprintln!("idle-hold: {e}");
-                    std::process::exit(1);
-                }
-            }
-            s if s == "serve-open" || s.starts_with("serve-open:") => {
-                let mut parts = s.splitn(3, ':').skip(1);
-                let mut cfg = cachemap_bench::open_loop::OpenLoopConfig::default();
-                if let Some(p) = parts.next() {
-                    cfg.offered_rps = p
-                        .parse()
-                        .unwrap_or_else(|_| panic!("bad serve-open rate: {p}"));
-                }
-                if let Some(p) = parts.next() {
-                    cfg.duration_secs = p
-                        .parse()
-                        .unwrap_or_else(|_| panic!("bad serve-open duration: {p}"));
-                }
-                if test_scale {
-                    cfg = cachemap_bench::open_loop::OpenLoopConfig::smoke(cfg.seed);
-                }
-                // The parked fleet rides in a child `repro idle-hold`.
-                cfg.idle_hold_exe = std::env::current_exe().ok();
-                eprintln!(
-                    "[serve-open: seed {}, {:.0} req/s offered for {:.0} s, {} conns, \
-                     {} idle conns parked …]",
-                    cfg.seed, cfg.offered_rps, cfg.duration_secs, cfg.conns, cfg.idle_conns
-                );
-                let report = cachemap_bench::open_loop::run(&cfg).unwrap_or_else(|e| {
-                    eprintln!("serve-open failed: {e}");
-                    std::process::exit(1);
-                });
-                println!("{}", cachemap_bench::open_loop::render(&report));
-                match merge_bench_service("open", report.to_json()) {
-                    Ok(()) => println!("   [raw numbers: BENCH_service.json, section \"open\"]"),
-                    Err(e) => eprintln!("   [warning: could not write BENCH_service.json: {e}]"),
-                }
-                let scratch = format!("BENCH_service-open-{}", cfg.seed);
-                match write_report(&scratch, &report) {
-                    Ok(path) => println!("   [scratch copy: {}]", path.display()),
-                    Err(e) => eprintln!("   [warning: could not write scratch copy: {e}]"),
-                }
-                if !report.gates_ok {
-                    eprintln!(
-                        "serve-open: gates failed: {}",
-                        report.gate_failures.join("; ")
-                    );
-                    std::process::exit(1);
-                }
-            }
             s if s == "serve" || s.starts_with("serve:") => {
                 let addr = s.strip_prefix("serve:").unwrap_or("127.0.0.1:7411");
                 let mut cfg = cachemap_service::ServiceConfig::default();
@@ -841,15 +761,7 @@ fn main() {
                 );
                 let report = cachemap_bench::advisor::run_advisor(scale, &platform, seed);
                 println!("{}", cachemap_bench::advisor::render(&report));
-                match std::fs::write("BENCH_policies.json", report.to_json().to_string_pretty()) {
-                    Ok(()) => println!("   [raw numbers: BENCH_policies.json]"),
-                    Err(e) => eprintln!("   [warning: could not write BENCH_policies.json: {e}]"),
-                }
-                let scratch = format!("BENCH_policies-{seed}");
-                match write_report(&scratch, &report) {
-                    Ok(path) => println!("   [scratch copy: {}]", path.display()),
-                    Err(e) => eprintln!("   [warning: could not write scratch copy: {e}]"),
-                }
+                record(root, scale, BenchFile::Policies, seed, &report);
             }
             s if s == "bench-cluster" || s.starts_with("bench-cluster:") => {
                 let seed = seed_arg(s, "bench-cluster");
@@ -870,15 +782,7 @@ fn main() {
                 );
                 let report = cachemap_bench::cluster_bench::run(&cfg);
                 println!("{}", report.render());
-                match std::fs::write("BENCH_cluster.json", report.to_json().to_string_pretty()) {
-                    Ok(()) => println!("   [raw numbers: BENCH_cluster.json]"),
-                    Err(e) => eprintln!("   [warning: could not write BENCH_cluster.json: {e}]"),
-                }
-                let scratch = format!("BENCH_cluster-{seed}");
-                match write_report(&scratch, &report) {
-                    Ok(path) => println!("   [scratch copy: {}]", path.display()),
-                    Err(e) => eprintln!("   [warning: could not write scratch copy: {e}]"),
-                }
+                record(root, scale, BenchFile::Cluster, seed, &report);
             }
             s if s == "serve-storm" || s.starts_with("serve-storm:") => {
                 let seed = seed_arg(s, "serve-storm");
@@ -900,15 +804,7 @@ fn main() {
                     std::process::exit(1);
                 });
                 println!("{}", cachemap_bench::storm::render(&report));
-                match merge_bench_service("storm", report.to_json()) {
-                    Ok(()) => println!("   [raw numbers: BENCH_service.json, section \"storm\"]"),
-                    Err(e) => eprintln!("   [warning: could not write BENCH_service.json: {e}]"),
-                }
-                let scratch = format!("BENCH_service-storm-{seed}");
-                match write_report(&scratch, &report) {
-                    Ok(path) => println!("   [scratch copy: {}]", path.display()),
-                    Err(e) => eprintln!("   [warning: could not write scratch copy: {e}]"),
-                }
+                record(root, scale, BenchFile::ServiceStorm, seed, &report);
             }
             s if s == "router-storm" || s.starts_with("router-storm:") => {
                 let seed = seed_arg(s, "router-storm");
@@ -930,15 +826,7 @@ fn main() {
                     std::process::exit(1);
                 });
                 println!("{}", cachemap_bench::router_storm::render(&report));
-                match merge_bench_service("router", report.to_json()) {
-                    Ok(()) => println!("   [raw numbers: BENCH_service.json, section \"router\"]"),
-                    Err(e) => eprintln!("   [warning: could not write BENCH_service.json: {e}]"),
-                }
-                let scratch = format!("BENCH_service-router-{seed}");
-                match write_report(&scratch, &report) {
-                    Ok(path) => println!("   [scratch copy: {}]", path.display()),
-                    Err(e) => eprintln!("   [warning: could not write scratch copy: {e}]"),
-                }
+                record(root, scale, BenchFile::ServiceRouter, seed, &report);
             }
             other => {
                 eprintln!("unknown experiment: {other}\n\n{}", usage());

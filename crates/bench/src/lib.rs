@@ -12,14 +12,15 @@
 use cachemap_core::{Mapper, MapperConfig, Version};
 use cachemap_polyhedral::DataSpace;
 use cachemap_storage::{HierarchyTree, PlatformConfig, SimReport, Simulator};
+use cachemap_util::{Json, ToJson};
 use cachemap_workloads::{Application, Scale};
+use std::path::Path;
 
 pub mod advisor;
 pub mod chaos;
 pub mod cluster_bench;
 pub mod experiments;
 pub mod obs;
-pub mod open_loop;
 pub mod report;
 pub mod router_storm;
 pub mod serve;
@@ -112,10 +113,7 @@ pub fn run_suite(
 }
 
 /// Writes a serializable result as pretty JSON under `reports/`.
-pub fn write_report<T: cachemap_util::ToJson>(
-    name: &str,
-    value: &T,
-) -> std::io::Result<std::path::PathBuf> {
+pub fn write_report<T: ToJson>(name: &str, value: &T) -> std::io::Result<std::path::PathBuf> {
     let dir = std::path::Path::new("reports");
     std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.json"));
@@ -123,9 +121,179 @@ pub fn write_report<T: cachemap_util::ToJson>(
     Ok(path)
 }
 
+/// A committed repo-root benchmark record a campaign owns: a whole
+/// `BENCH_*.json` file, or one section of `BENCH_service.json`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BenchFile {
+    /// `BENCH_policies.json`, from `repro advisor`.
+    Policies,
+    /// `BENCH_cluster.json`, from `repro bench-cluster`.
+    Cluster,
+    /// `BENCH_service.json` §router, from `repro router-storm`.
+    ServiceRouter,
+    /// `BENCH_service.json` §storm, from `repro serve-storm`.
+    ServiceStorm,
+}
+
+/// The sections `BENCH_service.json` may hold.
+const SERVICE_SECTIONS: [&str; 2] = ["router", "storm"];
+
+impl BenchFile {
+    fn stem(self) -> &'static str {
+        match self {
+            BenchFile::Policies => "BENCH_policies",
+            BenchFile::Cluster => "BENCH_cluster",
+            BenchFile::ServiceRouter | BenchFile::ServiceStorm => "BENCH_service",
+        }
+    }
+
+    fn section(self) -> Option<&'static str> {
+        match self {
+            BenchFile::ServiceRouter => Some(SERVICE_SECTIONS[0]),
+            BenchFile::ServiceStorm => Some(SERVICE_SECTIONS[1]),
+            BenchFile::Policies | BenchFile::Cluster => None,
+        }
+    }
+
+    /// The committed file plus, for a sectioned record, its section.
+    fn describe(self) -> String {
+        match self.section() {
+            None => format!("{}.json", self.stem()),
+            Some(sec) => format!("{}.json, section \"{sec}\"", self.stem()),
+        }
+    }
+}
+
+/// Records one campaign report under `root` (the working directory
+/// for `repro`). The `reports/<stem>[-<section>]-<seed>.json` scratch
+/// copy is always written. The committed repo-root file, or its
+/// section, is written only at [`Scale::Paper`], so a `--test-scale`
+/// smoke can never overwrite a deliberate paper-scale run. Prints one
+/// note per file; a failed write is a warning, not an abort.
+pub fn record<T: ToJson>(root: &Path, scale: Scale, target: BenchFile, seed: u64, report: &T) {
+    let json = report.to_json();
+    if scale == Scale::Paper {
+        let path = root.join(format!("{}.json", target.stem()));
+        let written = match target.section() {
+            None => std::fs::write(&path, json.to_string_pretty()),
+            Some(section) => merge_section(&path, section, json.clone()),
+        };
+        match written {
+            Ok(()) => println!("   [raw numbers: {}]", target.describe()),
+            Err(e) => eprintln!("   [warning: could not write {}: {e}]", target.describe()),
+        }
+    } else {
+        println!("   [test scale: {} left as committed]", target.describe());
+    }
+    let scratch = match target.section() {
+        None => format!("{}-{seed}.json", target.stem()),
+        Some(section) => format!("{}-{section}-{seed}.json", target.stem()),
+    };
+    let dir = root.join("reports");
+    let path = dir.join(scratch);
+    match std::fs::create_dir_all(&dir)
+        .and_then(|()| std::fs::write(&path, json.to_string_pretty()))
+    {
+        Ok(()) => println!("   [scratch copy: {}]", path.display()),
+        Err(e) => eprintln!("   [warning: could not write scratch copy: {e}]"),
+    }
+}
+
+/// Replaces one section of a sectioned record. A missing file, or one
+/// holding any key outside [`SERVICE_SECTIONS`], starts a fresh
+/// object; sections are kept in key order.
+fn merge_section(path: &Path, section: &str, value: Json) -> std::io::Result<()> {
+    let mut pairs: Vec<(String, Json)> = match std::fs::read_to_string(path)
+        .ok()
+        .and_then(|text| cachemap_util::json::parse(&text).ok())
+    {
+        Some(Json::Object(pairs))
+            if pairs
+                .iter()
+                .all(|(k, _)| SERVICE_SECTIONS.contains(&k.as_str())) =>
+        {
+            pairs
+        }
+        _ => Vec::new(),
+    };
+    match pairs.iter_mut().find(|(k, _)| k == section) {
+        Some(slot) => slot.1 = value,
+        None => pairs.push((section.to_string(), value)),
+    }
+    pairs.sort_by(|a, b| a.0.cmp(&b.0));
+    std::fs::write(path, Json::Object(pairs).to_string_pretty())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const ALL_TARGETS: [BenchFile; 4] = [
+        BenchFile::Policies,
+        BenchFile::Cluster,
+        BenchFile::ServiceRouter,
+        BenchFile::ServiceStorm,
+    ];
+
+    fn committed_files(root: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(root)
+            .unwrap()
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn test_scale_records_write_only_scratch_copies() {
+        let root = std::env::temp_dir().join(format!("cachemap-record-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(&root).unwrap();
+        let report = Json::object(vec![("seed", 7u64.to_json())]);
+
+        for target in ALL_TARGETS {
+            record(&root, Scale::Test, target, 7, &report);
+        }
+        assert!(
+            committed_files(&root).is_empty(),
+            "test scale wrote {:?}",
+            committed_files(&root)
+        );
+        for scratch in [
+            "BENCH_policies-7.json",
+            "BENCH_cluster-7.json",
+            "BENCH_service-router-7.json",
+            "BENCH_service-storm-7.json",
+        ] {
+            assert!(root.join("reports").join(scratch).is_file(), "{scratch}");
+        }
+
+        // Paper scale writes the committed files; the two service
+        // campaigns share one file, a section each, and a stale
+        // unknown section does not survive.
+        std::fs::write(root.join("BENCH_service.json"), "{\"open\": {}}").unwrap();
+        for target in ALL_TARGETS {
+            record(&root, Scale::Paper, target, 42, &report);
+        }
+        assert_eq!(
+            committed_files(&root),
+            [
+                "BENCH_cluster.json",
+                "BENCH_policies.json",
+                "BENCH_service.json"
+            ]
+        );
+        let service = std::fs::read_to_string(root.join("BENCH_service.json")).unwrap();
+        match cachemap_util::json::parse(&service).unwrap() {
+            Json::Object(pairs) => {
+                let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+                assert_eq!(keys, SERVICE_SECTIONS);
+            }
+            other => panic!("not an object: {other:?}"),
+        }
+        std::fs::remove_dir_all(&root).unwrap();
+    }
 
     #[test]
     fn run_cell_produces_consistent_reports() {

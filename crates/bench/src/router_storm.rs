@@ -30,7 +30,7 @@
 //! A `flight-replica_down-*.json` dump must be left behind by the
 //! router's flight recorder when the victim goes down.
 
-use crate::serve::{build_templates, Zipf};
+use crate::serve::{build_templates, count_dumps, Zipf};
 use cachemap_service::netfault::FaultedBackend;
 use cachemap_service::proto::{parse_request, Request};
 use cachemap_service::router::{Backend, Clock, LocalBackend, Router};
@@ -433,21 +433,6 @@ fn drive(
     })
 }
 
-/// Counts `flight-replica_down-*.json` dumps under `dir`.
-fn count_replica_down_dumps(dir: &Path) -> u64 {
-    std::fs::read_dir(dir)
-        .map(|rd| {
-            rd.filter_map(|e| e.ok())
-                .filter(|e| {
-                    e.file_name().to_str().is_some_and(|n| {
-                        n.starts_with("flight-replica_down-") && n.ends_with(".json")
-                    })
-                })
-                .count() as u64
-        })
-        .unwrap_or(0)
-}
-
 /// Runs the full storm — twice, for the reproducibility gate. Returns
 /// `Err` on any violated invariant.
 pub fn run(cfg: &RouterStormConfig) -> Result<RouterStormReport, String> {
@@ -490,7 +475,7 @@ pub fn run(cfg: &RouterStormConfig) -> Result<RouterStormReport, String> {
     let run_b = drive(cfg, &templates, &schedule, &dir.join("run-b"))?;
 
     let reproducible = run_a.digest == run_b.digest;
-    let flight_dumps = count_replica_down_dumps(&dir.join("run-a"));
+    let flight_dumps = count_dumps(&dir.join("run-a"), "replica_down");
     let warm_ratio = if run_a.prekill_hit_rate > 0.0 {
         run_a.postrestart_hit_rate / run_a.prekill_hit_rate
     } else {

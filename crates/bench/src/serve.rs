@@ -1,7 +1,9 @@
-//! Shared pieces of the serving campaigns (`serve-open`,
-//! `serve-storm`, `router-storm`): the request-template pool with each
-//! template's cold-pipeline oracle bytes, a seeded Zipf sampler over
-//! it, and a `GET /metrics` scrape plus Prometheus schema check.
+//! Shared pieces of the serving campaigns (`serve-storm`,
+//! `router-storm`): the request-template pool with each template's
+//! cold-pipeline oracle bytes, a seeded Zipf sampler over it, a
+//! flight-dump counter, and a `GET /metrics` scrape plus Prometheus
+//! schema check. Open-loop latency and throughput are measured by the
+//! repository benchmark (`benchmark/README.md`), not here.
 
 use cachemap_core::{Mapper, MapperConfig, Version};
 use cachemap_polyhedral::DataSpace;
@@ -12,6 +14,7 @@ use cachemap_util::ToJson;
 use cachemap_workloads::{suite, Scale};
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
+use std::path::Path;
 
 pub(crate) struct Template {
     /// The request line plus its `\n` terminator, sent in one write: a
@@ -98,6 +101,22 @@ impl Zipf {
             .position(|&c| u < c)
             .unwrap_or(self.cdf.len() - 1)
     }
+}
+
+/// Counts the `flight-<trigger>-*.json` dumps directly under `dir`.
+pub(crate) fn count_dumps(dir: &Path, trigger: &str) -> u64 {
+    let prefix = format!("flight-{trigger}-");
+    std::fs::read_dir(dir)
+        .map(|rd| {
+            rd.filter_map(|e| e.ok())
+                .filter(|e| {
+                    e.file_name()
+                        .to_str()
+                        .is_some_and(|n| n.starts_with(&prefix) && n.ends_with(".json"))
+                })
+                .count() as u64
+        })
+        .unwrap_or(0)
 }
 
 /// Checks one Prometheus text exposition for schema validity: every

@@ -30,7 +30,9 @@
 //! Phase triggers count replies on the client side: deduped lines
 //! never reach the service's own admission counters.
 
-use crate::serve::{build_templates, scrape_metrics, validate_prometheus, Template, Zipf};
+use crate::serve::{
+    build_templates, count_dumps, scrape_metrics, validate_prometheus, Template, Zipf,
+};
 use cachemap_service::aserver::AsyncServer;
 use cachemap_service::{MapService, ServiceConfig};
 use cachemap_util::check::Gen;
@@ -193,22 +195,6 @@ fn service_config(dir: &Path) -> ServiceConfig {
         flight_dir: dir.join("flight"),
         ..ServiceConfig::default()
     }
-}
-
-/// Counts `flight-<trigger>-*.json` dumps in the flight directory.
-fn count_dumps(dir: &Path, trigger: &str) -> u64 {
-    let prefix = format!("flight-{trigger}-");
-    std::fs::read_dir(dir.join("flight"))
-        .map(|rd| {
-            rd.filter_map(|e| e.ok())
-                .filter(|e| {
-                    e.file_name()
-                        .to_str()
-                        .is_some_and(|n| n.starts_with(&prefix) && n.ends_with(".json"))
-                })
-                .count() as u64
-        })
-        .unwrap_or(0)
 }
 
 /// One barrage reply: whether it came from cache, its trace id, and
@@ -598,9 +584,10 @@ pub fn run(cfg: &StormConfig) -> Result<StormReport, String> {
     // Anomaly forensics: the campaign must leave flight dumps behind —
     // slow coalesce waits during the phases, the torn-tail recovery at
     // restart, and the graceful drain.
-    let slow_dumps = count_dumps(&dir, "slow_request");
-    let recovery_dumps = count_dumps(&dir, "recovery");
-    let drain_dumps = count_dumps(&dir, "drain");
+    let flight = dir.join("flight");
+    let slow_dumps = count_dumps(&flight, "slow_request");
+    let recovery_dumps = count_dumps(&flight, "recovery");
+    let drain_dumps = count_dumps(&flight, "drain");
     if slow_dumps == 0 {
         return Err("no slow_request flight dump despite the 1 ms slow threshold".into());
     }

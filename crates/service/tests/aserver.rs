@@ -299,6 +299,42 @@ fn idle_connection_fleet_is_held_under_the_cap() {
     // The fleet being parked must not break request service.
     let reply = round_trip(async_srv.addr(), "{\"id\":5,\"op\":\"ping\"}");
     assert!(reply.contains("\"pong\":true"), "{reply}");
+
+    // Nor pipelined map service: one write carrying distinct map lines
+    // (distinct, so batch dedup cannot collapse them) gets every reply
+    // back in send order, each with its own id and the cold-oracle
+    // mapping bytes.
+    let reqs: Vec<MapRequest> = (0..2)
+        .flat_map(|app| Version::ALL.map(|v| (app, v)))
+        .enumerate()
+        .map(|(i, (app, version))| request(app, version, 100 + i as u64))
+        .collect();
+    let burst: String = reqs
+        .iter()
+        .map(|q| format!("{}\n", q.to_json().to_string_compact()))
+        .collect();
+    let mut c = TcpStream::connect(async_srv.addr()).unwrap();
+    c.write_all(burst.as_bytes()).unwrap();
+    let mut r = BufReader::new(c);
+    for req in &reqs {
+        let mut reply = String::new();
+        r.read_line(&mut reply).unwrap();
+        let parsed = cachemap_util::json::parse(&reply).unwrap();
+        assert_eq!(
+            parsed.get("id").and_then(|v| v.as_u64()),
+            Some(req.id),
+            "reply out of send order: {reply}"
+        );
+        assert!(reply.contains("\"status\":\"ok\""), "{reply}");
+        assert!(
+            reply.contains(&format!("\"mapping\":{}", cold_mapping_bytes(req))),
+            "request {} lacks the cold mapping",
+            req.id
+        );
+    }
+    let open = async_srv.loop_stats().connections.load(Ordering::Relaxed);
+    assert!(open >= 513, "the parked fleet must stay held: {open} open");
+    drop(held);
 }
 
 #[test]
