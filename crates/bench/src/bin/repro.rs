@@ -211,10 +211,6 @@ fn usage() -> String {
      \x20                               under network faults, mid-campaign\n\
      \x20                               kill + cold restart, run twice for\n\
      \x20                               reproducibility (default seed 42)\n\
-     parallel runtime:\n\
-     \x20 bench-cluster[:<seed>]        sequential vs parallel distribute\n\
-     \x20                               at paper scale (default seed 42);\n\
-     \x20                               CACHEMAP_THREADS caps pool workers\n\
      policy zoo:\n\
      \x20 advisor[:<seed>]              per-(workload, level) eviction-policy\n\
      \x20                               sweep over the adversarial scenarios\n\
@@ -226,7 +222,7 @@ fn usage() -> String {
      help:\n\
      \x20 help | --help | -h            this screen\n\
      \n\
-     serve-storm, router-storm, bench-cluster and advisor write their\n\
+     serve-storm, router-storm and advisor write their\n\
      committed BENCH_*.json record (or section) only at paper scale;\n\
      every run also writes a reports/BENCH_*-<seed>.json copy, and a\n\
      --test-scale run writes only that copy. Open-loop serving latency\n\
@@ -762,27 +758,6 @@ fn main() {
                 let report = cachemap_bench::advisor::run_advisor(scale, &platform, seed);
                 println!("{}", cachemap_bench::advisor::render(&report));
                 record(root, scale, BenchFile::Policies, seed, &report);
-            }
-            s if s == "bench-cluster" || s.starts_with("bench-cluster:") => {
-                let seed = seed_arg(s, "bench-cluster");
-                let cfg = if test_scale {
-                    cachemap_bench::cluster_bench::ClusterBenchConfig::smoke(seed)
-                } else {
-                    cachemap_bench::cluster_bench::ClusterBenchConfig::paper_scale(seed)
-                };
-                eprintln!(
-                    "[bench-cluster: seed {seed}, {} chunks on the {}x{}x{} hierarchy, pools {:?} \
-                     (set {} to cap workers) …]",
-                    cfg.t_steps * cfg.v,
-                    cfg.platform.num_clients,
-                    cfg.platform.num_io_nodes,
-                    cfg.platform.num_storage_nodes,
-                    cfg.pool_sizes,
-                    cachemap_par::THREADS_ENV,
-                );
-                let report = cachemap_bench::cluster_bench::run(&cfg);
-                println!("{}", report.render());
-                record(root, scale, BenchFile::Cluster, seed, &report);
             }
             s if s == "serve-storm" || s.starts_with("serve-storm:") => {
                 let seed = seed_arg(s, "serve-storm");

@@ -18,7 +18,6 @@ use std::path::Path;
 
 pub mod advisor;
 pub mod chaos;
-pub mod cluster_bench;
 pub mod experiments;
 pub mod obs;
 pub mod report;
@@ -127,8 +126,6 @@ pub fn write_report<T: ToJson>(name: &str, value: &T) -> std::io::Result<std::pa
 pub enum BenchFile {
     /// `BENCH_policies.json`, from `repro advisor`.
     Policies,
-    /// `BENCH_cluster.json`, from `repro bench-cluster`.
-    Cluster,
     /// `BENCH_service.json` §router, from `repro router-storm`.
     ServiceRouter,
     /// `BENCH_service.json` §storm, from `repro serve-storm`.
@@ -142,7 +139,6 @@ impl BenchFile {
     fn stem(self) -> &'static str {
         match self {
             BenchFile::Policies => "BENCH_policies",
-            BenchFile::Cluster => "BENCH_cluster",
             BenchFile::ServiceRouter | BenchFile::ServiceStorm => "BENCH_service",
         }
     }
@@ -151,7 +147,7 @@ impl BenchFile {
         match self {
             BenchFile::ServiceRouter => Some(SERVICE_SECTIONS[0]),
             BenchFile::ServiceStorm => Some(SERVICE_SECTIONS[1]),
-            BenchFile::Policies | BenchFile::Cluster => None,
+            BenchFile::Policies => None,
         }
     }
 
@@ -228,9 +224,8 @@ fn merge_section(path: &Path, section: &str, value: Json) -> std::io::Result<()>
 mod tests {
     use super::*;
 
-    const ALL_TARGETS: [BenchFile; 4] = [
+    const ALL_TARGETS: [BenchFile; 3] = [
         BenchFile::Policies,
-        BenchFile::Cluster,
         BenchFile::ServiceRouter,
         BenchFile::ServiceStorm,
     ];
@@ -262,7 +257,6 @@ mod tests {
         );
         for scratch in [
             "BENCH_policies-7.json",
-            "BENCH_cluster-7.json",
             "BENCH_service-router-7.json",
             "BENCH_service-storm-7.json",
         ] {
@@ -278,11 +272,7 @@ mod tests {
         }
         assert_eq!(
             committed_files(&root),
-            [
-                "BENCH_cluster.json",
-                "BENCH_policies.json",
-                "BENCH_service.json"
-            ]
+            ["BENCH_policies.json", "BENCH_service.json"]
         );
         let service = std::fs::read_to_string(root.join("BENCH_service.json")).unwrap();
         match cachemap_util::json::parse(&service).unwrap() {

@@ -21,19 +21,8 @@
 
 use crate::tags::IterationChunk;
 use cachemap_obs::Profile;
-use cachemap_par::Pool;
 use cachemap_storage::topology::{CacheLevel, HierarchyTree, NodeId};
 use cachemap_util::{BitSet, CountVec};
-
-/// Minimum cluster count before the pairwise similarity build and the
-/// initial best-partner scans go parallel; below this the spawn cost of
-/// a scoped fan-out exceeds the dot-product work. Results are identical
-/// either way — this is purely a work-size cutoff.
-const PAR_MIN_SIM_CLUSTERS: usize = 96;
-
-/// Minimum total item count at a tree node before its per-subtree
-/// recursion fans out onto the pool.
-const PAR_MIN_FANOUT_ITEMS: usize = 32;
 
 /// A contiguous slice of one iteration chunk's iterations.
 ///
@@ -197,21 +186,17 @@ pub fn distribute(
     distribute_profiled(chunks, tree, params, &mut Profile::disabled())
 }
 
-/// [`distribute_profiled`] on a worker pool: the pairwise similarity
-/// build, the initial best-partner scans, and the per-subtree recursion
-/// at each hierarchy level fan out onto `pool`.
-///
-/// The result — the distribution *and* every profile counter — is
-/// byte-identical to the sequential kernel for any pool size: work is
-/// split by item index, per-subtree profiles are absorbed in child
-/// order, and the greedy merge loop itself (inherently sequential)
-/// never moves off the calling thread. `Pool::sequential()` recovers
-/// [`distribute_profiled`] exactly.
-pub fn distribute_pooled(
+/// [`distribute`] with phase accounting: one span per hierarchy level
+/// (`level:root` → `level:storage` → `level:io`), each carrying the
+/// merge/split/balance-move counters for that level plus a
+/// `similarity-graph` child span for the pairwise dot-product build.
+/// Sibling subtrees at the same depth accumulate into one span, so the
+/// profile mirrors the levels of Figure 5, not the tree fan-out. With a
+/// disabled profile this is exactly [`distribute`].
+pub fn distribute_profiled(
     chunks: &[IterationChunk],
     tree: &HierarchyTree,
     params: &ClusterParams,
-    pool: &Pool,
     prof: &mut Profile,
 ) -> Distribution {
     let mut per_client: Vec<Vec<WorkItem>> = vec![Vec::new(); tree.num_clients()];
@@ -227,26 +212,9 @@ pub fn distribute_pooled(
         all_items,
         params,
         &mut per_client,
-        pool,
         prof,
     );
     Distribution { per_client }
-}
-
-/// [`distribute`] with phase accounting: one span per hierarchy level
-/// (`level:root` → `level:storage` → `level:io`), each carrying the
-/// merge/split/balance-move counters for that level plus a
-/// `similarity-graph` child span for the pairwise dot-product build.
-/// Sibling subtrees at the same depth accumulate into one span, so the
-/// profile mirrors the levels of Figure 5, not the tree fan-out. With a
-/// disabled profile this is exactly [`distribute`].
-pub fn distribute_profiled(
-    chunks: &[IterationChunk],
-    tree: &HierarchyTree,
-    params: &ClusterParams,
-    prof: &mut Profile,
-) -> Distribution {
-    distribute_pooled(chunks, tree, params, &Pool::sequential(), prof)
 }
 
 /// Span name for the clustering step performed *at* a node of `level`.
@@ -260,7 +228,6 @@ fn level_span_name(level: CacheLevel) -> &'static str {
 }
 
 /// Recursive descent: partition `items` among the children of `node`.
-#[allow(clippy::too_many_arguments)]
 fn distribute_at_node(
     chunks: &[IterationChunk],
     tree: &HierarchyTree,
@@ -268,7 +235,6 @@ fn distribute_at_node(
     items: Vec<WorkItem>,
     params: &ClusterParams,
     per_client: &mut [Vec<WorkItem>],
-    pool: &Pool,
     prof: &mut Profile,
 ) {
     let tn = tree.node(node);
@@ -281,7 +247,7 @@ fn distribute_at_node(
     prof.push(level_span_name(tn.level));
     prof.count("items", items.len() as u64);
     let num_clusters = tn.children.len();
-    let mut clusters = partition_into(chunks, items, num_clusters, params, pool, prof);
+    let mut clusters = partition_into(chunks, items, num_clusters, params, prof);
     // Hand clusters to children in a deterministic order: by the
     // earliest iteration chunk each cluster contains (this also matches
     // the per-client assignment of the paper's worked example,
@@ -303,60 +269,10 @@ fn distribute_at_node(
         .map(|&ch| tree.clients_under(ch).len() as u64)
         .collect();
     if weights.windows(2).any(|w| w[0] != w[1]) {
-        balance_to_weights(&mut clusters, chunks, params, &weights, prof);
+        balance_stage(&mut clusters, chunks, params, &weights, prof);
     }
-    let total_items: usize = clusters.iter().map(|c| c.items.len()).sum();
-    if !pool.is_sequential() && tn.children.len() > 1 && total_items >= PAR_MIN_FANOUT_ITEMS {
-        // Subtrees are independent: fan them out, each task recursing
-        // into a fresh profile, then absorb the task profiles in child
-        // order so spans and counters match the sequential recursion.
-        let tasks: Vec<(Vec<WorkItem>, NodeId)> = clusters
-            .into_iter()
-            .zip(&tn.children)
-            .map(|(c, &child)| (c.items, child))
-            .collect();
-        let num_clients = per_client.len();
-        let prof_on = prof.is_enabled();
-        let results = pool.map(&tasks, |_, (task_items, child)| {
-            let mut local: Vec<Vec<WorkItem>> = vec![Vec::new(); num_clients];
-            let mut sub_prof = if prof_on {
-                Profile::enabled()
-            } else {
-                Profile::disabled()
-            };
-            distribute_at_node(
-                chunks,
-                tree,
-                *child,
-                task_items.clone(),
-                params,
-                &mut local,
-                pool,
-                &mut sub_prof,
-            );
-            (local, sub_prof)
-        });
-        for (local, sub_prof) in results {
-            for (client, assigned) in local.into_iter().enumerate() {
-                if !assigned.is_empty() {
-                    per_client[client] = assigned;
-                }
-            }
-            prof.absorb(&sub_prof);
-        }
-    } else {
-        for (cluster, &child) in clusters.into_iter().zip(&tn.children) {
-            distribute_at_node(
-                chunks,
-                tree,
-                child,
-                cluster.items,
-                params,
-                per_client,
-                pool,
-                prof,
-            );
-        }
+    for (cluster, &child) in clusters.into_iter().zip(&tn.children) {
+        distribute_at_node(chunks, tree, child, cluster.items, params, per_client, prof);
     }
     prof.pop();
 }
@@ -369,7 +285,6 @@ fn partition_into(
     items: Vec<WorkItem>,
     num_clusters: usize,
     params: &ClusterParams,
-    pool: &Pool,
     prof: &mut Profile,
 ) -> Vec<Cluster> {
     let r = chunks.first().map_or(0, |c| c.tag.len());
@@ -380,7 +295,7 @@ fn partition_into(
         .collect();
 
     if clusters.len() > num_clusters {
-        merge_stage(&mut clusters, num_clusters, params.linkage, pool, prof);
+        merge_stage(&mut clusters, num_clusters, params.linkage, prof);
     }
     while clusters.len() < num_clusters {
         // "Select cαq such that S(cαq) is max; break it into two."
@@ -402,7 +317,7 @@ fn partition_into(
         }
     }
 
-    balance_stage(&mut clusters, chunks, params, prof);
+    balance_stage(&mut clusters, chunks, params, &vec![1; num_clusters], prof);
     clusters
 }
 
@@ -442,49 +357,17 @@ impl PairKey {
 ///   the merged pair (or beaten by the new cluster) are recomputed, so
 ///   a merge costs `O(n)` plus the occasional rescan instead of the
 ///   naive `O(n²)` full pair search.
-fn merge_stage(
-    clusters: &mut Vec<Cluster>,
-    target: usize,
-    linkage: Linkage,
-    pool: &Pool,
-    prof: &mut Profile,
-) {
+fn merge_stage(clusters: &mut Vec<Cluster>, target: usize, linkage: Linkage, prof: &mut Profile) {
     let n = clusters.len();
     let mut dots = vec![0u64; n * n];
-    let par = !pool.is_sequential() && n >= PAR_MIN_SIM_CLUSTERS;
     prof.scope("similarity-graph", |prof| {
         let mut nonzero = 0u64;
-        if par {
-            // Row i of the strict upper triangle is a pure function of
-            // the (immutable) cluster tags: build rows in parallel,
-            // then mirror them into the symmetric matrix in order.
-            let row_ids: Vec<usize> = (0..n).collect();
-            let rows: Vec<(Vec<u64>, u64)> = pool.map(&row_ids, |_, &i| {
-                let mut row = Vec::with_capacity(n - i - 1);
-                let mut row_nonzero = 0u64;
-                for j in (i + 1)..n {
-                    let d = clusters[i].tag.dot(&clusters[j].tag);
-                    row_nonzero += u64::from(d > 0);
-                    row.push(d);
-                }
-                (row, row_nonzero)
-            });
-            for (i, (row, row_nonzero)) in rows.into_iter().enumerate() {
-                for (off, d) in row.into_iter().enumerate() {
-                    let j = i + 1 + off;
-                    dots[i * n + j] = d;
-                    dots[j * n + i] = d;
-                }
-                nonzero += row_nonzero;
-            }
-        } else {
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    let d = clusters[i].tag.dot(&clusters[j].tag);
-                    dots[i * n + j] = d;
-                    dots[j * n + i] = d;
-                    nonzero += u64::from(d > 0);
-                }
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let d = clusters[i].tag.dot(&clusters[j].tag);
+                dots[i * n + j] = d;
+                dots[j * n + i] = d;
+                nonzero += u64::from(d > 0);
             }
         }
         prof.count("pairs", (n * (n - 1) / 2) as u64);
@@ -543,19 +426,9 @@ fn merge_stage(
         best
     };
 
-    // The initial scans are independent per cluster (everything is
-    // still alive); `scan_best` itself is deterministic, so parallel
-    // and sequential builds of the cache are identical.
-    let mut best: Vec<Option<(usize, PairKey)>> = if par {
-        let ids: Vec<usize> = (0..n).collect();
-        pool.map(&ids, |_, &i| {
-            scan_best(&dots, &members, clusters, &alive, i)
-        })
-    } else {
-        (0..n)
-            .map(|i| scan_best(&dots, &members, clusters, &alive, i))
-            .collect()
-    };
+    let mut best: Vec<Option<(usize, PairKey)>> = (0..n)
+        .map(|i| scan_best(&dots, &members, clusters, &alive, i))
+        .collect();
 
     while alive_count > target {
         // Global argmax over the per-cluster best partners (keys come
@@ -765,57 +638,81 @@ fn split_cluster(cluster: &mut Cluster, chunks: &[IterationChunk]) -> Cluster {
 }
 
 /// Stage 2: greedy load balancing within `BThres`.
+///
+/// Cluster `i`'s target load is `total · weights[i] / Σweights`, with the
+/// band `target ± BThres·target` around it: equal weights give every
+/// cluster the mean, and subtree widths give the children of an
+/// asymmetric (pruned) node shares proportional to the clients they
+/// lead. Clusters keep their positions (the caller pairs position `i`
+/// with child `i`), so only sizes move, not assignments.
 fn balance_stage(
     clusters: &mut [Cluster],
     chunks: &[IterationChunk],
     params: &ClusterParams,
+    weights: &[u64],
     prof: &mut Profile,
 ) {
     let n = clusters.len();
-    if n < 2 {
+    debug_assert_eq!(n, weights.len(), "one weight per cluster");
+    let total_weight: u64 = weights.iter().sum();
+    if n < 2 || total_weight == 0 {
         return;
     }
     let total: u64 = clusters.iter().map(|c| c.size).sum();
-    let avg = total as f64 / n as f64;
-    let bthres = params.balance_threshold.max(0.0) * avg;
-    let ulim = avg + bthres;
-    let llim = (avg - bthres).max(0.0);
+    let thres = params.balance_threshold.max(0.0);
+    // (llim, ulim) per cluster.
+    let band: Vec<(f64, f64)> = weights
+        .iter()
+        .map(|&w| {
+            let target = total as f64 * w as f64 / total_weight as f64;
+            let bthres = thres * target;
+            ((target - bthres).max(0.0), target + bthres)
+        })
+        .collect();
+    let ulim = |i: usize| band[i].1;
 
     // Bounded greedy loop; each pass must make progress or we stop.
     let max_rounds = 4 * n * chunks.len().max(1);
     for _ in 0..max_rounds {
-        let donor = match clusters
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.size as f64 > ulim)
-            .max_by_key(|(i, c)| (c.size, std::cmp::Reverse(*i)))
-        {
-            Some((i, _)) => i,
+        // Donor: largest excess over its upper band edge (ties → lowest
+        // index).
+        let donor = match (0..n)
+            .filter(|&i| clusters[i].size as f64 > ulim(i))
+            .max_by(|&a, &b| {
+                let ea = clusters[a].size as f64 - ulim(a);
+                let eb = clusters[b].size as f64 - ulim(b);
+                ea.total_cmp(&eb).then(b.cmp(&a))
+            }) {
+            Some(i) => i,
             None => break,
         };
         // The paper selects a recipient below LLim; when every sibling
         // sits just above LLim (one big donor, the rest marginally fine)
-        // that rule starves, so fall back to the smallest cluster that
-        // still has headroom below ULim — same greedy intent, guaranteed
+        // that rule starves, so take the cluster with the most headroom
+        // below its ULim instead — same greedy intent, guaranteed
         // progress.
-        let recipient = match clusters
-            .iter()
-            .enumerate()
-            .filter(|&(i, c)| i != donor && (c.size as f64) < ulim)
-            .min_by_key(|(i, c)| (c.size, *i))
-        {
-            Some((i, _)) => i,
+        let recipient = match (0..n)
+            .filter(|&i| i != donor && (clusters[i].size as f64) < ulim(i))
+            .max_by(|&a, &b| {
+                let ha = ulim(a) - clusters[a].size as f64;
+                let hb = ulim(b) - clusters[b].size as f64;
+                ha.total_cmp(&hb).then(b.cmp(&a))
+            }) {
+            Some(i) => i,
             None => break,
         };
 
-        // Whole-item eviction: donor stays ≥ LLim, recipient stays ≤ ULim,
-        // maximize Λa • α_recipient.
+        // Donor stays ≥ LLim, recipient stays ≤ ULim.
         let donor_size = clusters[donor].size;
         let recipient_size = clusters[recipient].size;
-        let max_evict = (donor_size as f64 - llim).floor().max(0.0) as u64;
-        let max_accept = (ulim - recipient_size as f64).floor().max(0.0) as u64;
+        let max_evict = (donor_size as f64 - band[donor].0).floor().max(0.0) as u64;
+        let max_accept = (ulim(recipient) - recipient_size as f64).floor().max(0.0) as u64;
         let allowed = max_evict.min(max_accept);
+        if allowed == 0 {
+            break;
+        }
 
+        // Whole-item eviction maximizing Λa • α_recipient.
         let mut best: Option<(usize, u64)> = None; // (item index, dot)
         for (ii, item) in clusters[donor].items.iter().enumerate() {
             let ilen = item.len() as u64;
@@ -841,12 +738,9 @@ fn balance_stage(
             continue;
         }
 
-        // No whole chunk fits: split one "according to the balance
-        // threshold requirements" and evict the part.
-        if allowed == 0 {
-            break;
-        }
-        // Evict the part from the item with the best dot to the recipient.
+        // No whole chunk fits: split the item with the best dot to the
+        // recipient "according to the balance threshold requirements"
+        // and evict the part.
         let (ii, _) = match clusters[donor]
             .items
             .iter()
@@ -881,126 +775,6 @@ fn balance_stage(
         clusters[recipient].size += allowed;
         clusters[recipient].items.push(tail);
         prof.count("balance_split_moves", 1);
-    }
-}
-
-/// Weighted variant of [`balance_stage`] for asymmetric (pruned) trees:
-/// cluster `i`'s target load is `total · weights[i] / Σweights`, and the
-/// `BThres` band is taken around each target. Clusters stay aligned with
-/// their position (the caller pairs position `i` with child `i`), so only
-/// sizes move, not assignments.
-fn balance_to_weights(
-    clusters: &mut [Cluster],
-    chunks: &[IterationChunk],
-    params: &ClusterParams,
-    weights: &[u64],
-    prof: &mut Profile,
-) {
-    let n = clusters.len();
-    debug_assert_eq!(n, weights.len(), "one weight per cluster");
-    let total_weight: u64 = weights.iter().sum();
-    if n < 2 || total_weight == 0 {
-        return;
-    }
-    let total: u64 = clusters.iter().map(|c| c.size).sum();
-    let bthres = params.balance_threshold.max(0.0);
-    let target = |i: usize| total as f64 * weights[i] as f64 / total_weight as f64;
-    let ulim = |i: usize| target(i) * (1.0 + bthres);
-    let llim = |i: usize| (target(i) * (1.0 - bthres)).max(0.0);
-
-    let max_rounds = 4 * n * chunks.len().max(1);
-    for _ in 0..max_rounds {
-        // Donor: largest absolute excess over its upper band edge.
-        let donor = match (0..n)
-            .filter(|&i| clusters[i].size as f64 > ulim(i))
-            .max_by(|&a, &b| {
-                let ea = clusters[a].size as f64 - ulim(a);
-                let eb = clusters[b].size as f64 - ulim(b);
-                ea.total_cmp(&eb).then(b.cmp(&a)) // ties → lowest index
-            }) {
-            Some(i) => i,
-            None => break,
-        };
-        // Recipient: largest headroom below its upper band edge.
-        let recipient = match (0..n)
-            .filter(|&i| i != donor && (clusters[i].size as f64) < ulim(i))
-            .max_by(|&a, &b| {
-                let ha = ulim(a) - clusters[a].size as f64;
-                let hb = ulim(b) - clusters[b].size as f64;
-                ha.total_cmp(&hb).then(b.cmp(&a))
-            }) {
-            Some(i) => i,
-            None => break,
-        };
-
-        let donor_size = clusters[donor].size;
-        let recipient_size = clusters[recipient].size;
-        let max_evict = (donor_size as f64 - llim(donor)).floor().max(0.0) as u64;
-        let max_accept = (ulim(recipient) - recipient_size as f64).floor().max(0.0) as u64;
-        let allowed = max_evict.min(max_accept);
-        if allowed == 0 {
-            break;
-        }
-
-        // Prefer moving a whole item with the best affinity to the
-        // recipient; otherwise split the best-affinity oversized item.
-        let mut best: Option<(usize, u64)> = None;
-        for (ii, item) in clusters[donor].items.iter().enumerate() {
-            let ilen = item.len() as u64;
-            if ilen == 0 || ilen > allowed {
-                continue;
-            }
-            let d = clusters[recipient].tag.dot_bitset(&chunks[item.chunk].tag);
-            match best {
-                Some((_, bd)) if d <= bd => {}
-                _ => best = Some((ii, d)),
-            }
-        }
-        if let Some((ii, _)) = best {
-            let item = clusters[donor].items.remove(ii);
-            let tag = &chunks[item.chunk].tag;
-            clusters[donor].tag.sub_bitset(tag);
-            clusters[donor].size -= item.len() as u64;
-            clusters[recipient].tag.add_bitset(tag);
-            clusters[recipient].size += item.len() as u64;
-            clusters[recipient].items.push(item);
-            prof.count("weighted_moves", 1);
-            continue;
-        }
-        let (ii, _) = match clusters[donor]
-            .items
-            .iter()
-            .enumerate()
-            .filter(|(_, it)| it.len() as u64 > allowed)
-            .map(|(ii, it)| {
-                (
-                    ii,
-                    clusters[recipient].tag.dot_bitset(&chunks[it.chunk].tag),
-                )
-            })
-            .max_by_key(|&(ii, d)| (d, std::cmp::Reverse(ii)))
-        {
-            Some(x) => x,
-            None => break,
-        };
-        let item = clusters[donor].items[ii];
-        let cut = item.end - allowed as usize;
-        clusters[donor].items[ii] = WorkItem {
-            chunk: item.chunk,
-            start: item.start,
-            end: cut,
-        };
-        clusters[donor].size -= allowed;
-        let tail = WorkItem {
-            chunk: item.chunk,
-            start: cut,
-            end: item.end,
-        };
-        let tag = &chunks[item.chunk].tag;
-        clusters[recipient].tag.add_bitset(tag);
-        clusters[recipient].size += allowed;
-        clusters[recipient].items.push(tail);
-        prof.count("weighted_moves", 1);
     }
 }
 
@@ -1093,52 +867,13 @@ pub fn remap_failed_profiled(
     params: &ClusterParams,
     prof: &mut Profile,
 ) -> Result<Distribution, RemapError> {
-    remap_failed_pooled(
-        dist,
-        chunks,
-        tree,
-        failed,
-        params,
-        &Pool::sequential(),
-        prof,
-    )
-}
-
-/// [`remap_failed_profiled`] on a worker pool: the re-clustering pass
-/// over the pruned tree runs through [`distribute_pooled`], with the
-/// same byte-identity guarantee for any pool size.
-#[allow(clippy::too_many_arguments)]
-pub fn remap_failed_pooled(
-    dist: &Distribution,
-    chunks: &[IterationChunk],
-    tree: &HierarchyTree,
-    failed: &[usize],
-    params: &ClusterParams,
-    pool: &Pool,
-    prof: &mut Profile,
-) -> Result<Distribution, RemapError> {
-    if dist.per_client.len() != tree.num_clients() {
-        return Err(RemapError::ClientCountMismatch {
-            distribution_clients: dist.per_client.len(),
-            tree_clients: tree.num_clients(),
-        });
-    }
-    for items in &dist.per_client {
-        for item in items {
-            if item.chunk >= chunks.len() {
-                return Err(RemapError::ChunkIndexOutOfRange {
-                    chunk: item.chunk,
-                    num_chunks: chunks.len(),
-                });
-            }
-        }
-    }
+    check_remap_inputs(dist, chunks, tree)?;
     if failed.is_empty() {
         return Ok(dist.clone());
     }
     let (pruned, survivor_map) = tree.prune_clients(failed)?;
 
-    let sub_dist = distribute_pooled(chunks, &pruned, params, pool, prof);
+    let sub_dist = distribute_profiled(chunks, &pruned, params, prof);
     let mut out = Distribution {
         per_client: vec![Vec::new(); dist.per_client.len()],
     };
@@ -1146,6 +881,34 @@ pub fn remap_failed_pooled(
         out.per_client[survivor_map[new_client]] = items.clone();
     }
     Ok(out)
+}
+
+/// Rejects a distribution that does not fit `tree` and `chunks`: the
+/// shared input check of [`remap_failed_profiled`] and
+/// [`remap_incremental`].
+fn check_remap_inputs(
+    dist: &Distribution,
+    chunks: &[IterationChunk],
+    tree: &HierarchyTree,
+) -> Result<(), RemapError> {
+    if dist.per_client.len() != tree.num_clients() {
+        return Err(RemapError::ClientCountMismatch {
+            distribution_clients: dist.per_client.len(),
+            tree_clients: tree.num_clients(),
+        });
+    }
+    if let Some(item) = dist
+        .per_client
+        .iter()
+        .flatten()
+        .find(|it| it.chunk >= chunks.len())
+    {
+        return Err(RemapError::ChunkIndexOutOfRange {
+            chunk: item.chunk,
+            num_chunks: chunks.len(),
+        });
+    }
+    Ok(())
 }
 
 /// Incremental failure-aware remapping for the online supervisor's live
@@ -1175,22 +938,7 @@ pub fn remap_incremental(
     failed: &[usize],
     params: &ClusterParams,
 ) -> Result<Distribution, RemapError> {
-    if remaining.per_client.len() != tree.num_clients() {
-        return Err(RemapError::ClientCountMismatch {
-            distribution_clients: remaining.per_client.len(),
-            tree_clients: tree.num_clients(),
-        });
-    }
-    for items in &remaining.per_client {
-        for item in items {
-            if item.chunk >= chunks.len() {
-                return Err(RemapError::ChunkIndexOutOfRange {
-                    chunk: item.chunk,
-                    num_chunks: chunks.len(),
-                });
-            }
-        }
-    }
+    check_remap_inputs(remaining, chunks, tree)?;
     if failed.is_empty() {
         return Ok(remaining.clone());
     }

@@ -22,7 +22,6 @@ use crate::deps::{self, DepStrategy};
 use crate::schedule::{self, ScheduleParams};
 use crate::tags;
 use cachemap_obs::Profile;
-use cachemap_par::Pool;
 use cachemap_polyhedral::{DataSpace, Program};
 use cachemap_storage::{HierarchyTree, MappedProgram, PlatformConfig};
 
@@ -96,39 +95,18 @@ impl Default for MapperConfig {
 #[derive(Debug, Clone)]
 pub struct Mapper {
     cfg: MapperConfig,
-    pool: Pool,
 }
 
 impl Mapper {
-    /// Creates a mapper with the given configuration. The mapper runs
-    /// sequentially; see [`Mapper::with_pool`].
+    /// Creates a mapper with the given configuration.
     pub fn new(cfg: MapperConfig) -> Self {
-        Mapper {
-            cfg,
-            pool: Pool::sequential(),
-        }
+        Mapper { cfg }
     }
 
     /// Creates a mapper with the paper's default parameters
     /// (10% balance threshold, α = β = 0.5, sync-insert dependences).
     pub fn paper_defaults() -> Self {
         Self::new(MapperConfig::default())
-    }
-
-    /// Runs the clustering kernel (and failure remaps) on `pool`.
-    ///
-    /// The pool is an execution detail, deliberately **not** part of
-    /// [`MapperConfig`]: mapping results are byte-identical for any
-    /// pool size, so the thread count must not leak into wire
-    /// serialization or request fingerprints.
-    pub fn with_pool(mut self, pool: Pool) -> Self {
-        self.pool = pool;
-        self
-    }
-
-    /// The pool the clustering kernel runs on.
-    pub fn pool(&self) -> &Pool {
-        &self.pool
     }
 
     /// The active configuration.
@@ -341,7 +319,7 @@ impl Mapper {
 
         // 4. Hierarchical distribution (Figure 5).
         let mut dist = prof.scope("cluster", |prof| {
-            cluster::distribute_pooled(&chunks, tree, &self.cfg.cluster, &self.pool, prof)
+            cluster::distribute_profiled(&chunks, tree, &self.cfg.cluster, prof)
         });
 
         // 4b. Optional boundary refinement (extension; off by default).
@@ -356,13 +334,12 @@ impl Mapper {
         if !failed_clients.is_empty() {
             dist = prof.scope("remap", |prof| {
                 prof.count("failed_clients", failed_clients.len() as u64);
-                cluster::remap_failed_pooled(
+                cluster::remap_failed_profiled(
                     &dist,
                     &chunks,
                     tree,
                     failed_clients,
                     &self.cfg.cluster,
-                    &self.pool,
                     prof,
                 )
             })?;

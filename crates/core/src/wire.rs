@@ -209,8 +209,7 @@ impl ToJson for crate::cluster::Distribution {
     /// Canonical wire form of a distribution: one array per client, each
     /// item as `[chunk, start, end]`. Compact and deterministic, so two
     /// distributions are equal iff their serializations are
-    /// byte-identical — the comparison the parallel-kernel property
-    /// tests and `bench-cluster` rely on.
+    /// byte-identical — the comparison the remap golden test relies on.
     fn to_json(&self) -> Json {
         Json::Array(
             self.per_client

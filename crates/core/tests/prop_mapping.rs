@@ -6,12 +6,13 @@
 use cachemap_core::cluster::{distribute, remap_failed, ClusterParams, Distribution, Linkage};
 use cachemap_core::schedule::{schedule, ScheduleParams};
 use cachemap_core::tags::{tag_nest, IterationChunk};
+use cachemap_core::wire;
 use cachemap_polyhedral::{
     AffineExpr, ArrayDecl, ArrayRef, DataSpace, IterationSpace, LoopNest, Program,
 };
 use cachemap_storage::{HierarchyTree, PlatformConfig};
 use cachemap_util::check::{cases, Gen};
-use cachemap_util::BitSet;
+use cachemap_util::{BitSet, ToJson};
 
 /// Random small single-nest program with chunk-crossing strides.
 fn arb_program(g: &mut Gen) -> (Program, DataSpace) {
@@ -175,6 +176,12 @@ fn remap_partitions_exactly_over_survivors_within_bthres() {
             set
         };
         assert_eq!(cover(&remapped), cover(&dist));
+        // The wire round-trip is exact, so a memoized service response
+        // replays byte for byte.
+        let bytes = remapped.to_json().to_string_compact();
+        let back = wire::distribution_from_json(&remapped.to_json()).unwrap();
+        assert_eq!(back, remapped);
+        assert_eq!(back.to_json().to_string_compact(), bytes);
         // Survivor loads stay near the survivor mean up to the balance
         // threshold compounded over the tree levels plus chunk slack.
         let per = remapped.iterations_per_client();

@@ -1,9 +1,8 @@
-//! Deterministic parallel runtime: a scoped fixed-size worker pool with
-//! `par_map` / `par_map_reduce` primitives whose results are
-//! byte-identical for any thread count, including one.
+//! Deterministic parallel runtime: a scoped fixed-size worker pool whose
+//! `map` results are byte-identical for any thread count, including one.
 //!
 //! The determinism contract, which every tenant in this workspace leans
-//! on (chaos replay, service cache fingerprints, golden reports):
+//! on (chaos replay, experiment sweeps, golden reports):
 //!
 //! - **Work is split by index.** Workers pull item indices from a shared
 //!   atomic counter; which worker computes which item is racy, but the
@@ -11,11 +10,6 @@
 //! - **Results are collected in input order.** [`Pool::try_map`] writes
 //!   result `i` into slot `i` and returns `Vec<R>` ordered like the
 //!   input, regardless of completion order.
-//! - **Reductions use a fixed tree shape.** [`Pool::try_map_reduce`]
-//!   folds items into blocks whose boundaries depend only on
-//!   `items.len()`, then folds the block accumulators left-to-right.
-//!   The same shape is used at every thread count, so even
-//!   non-associative reducers (floating point!) give identical results.
 //!
 //! Worker panics are captured per item with `catch_unwind` and surfaced
 //! as a typed [`ParError`] — a panicking closure can never hang the
@@ -26,8 +20,7 @@
 //! and joins them before returning. `Pool` itself is just a thread-count
 //! handle — `Copy`, trivially cheap to thread through call stacks.
 //!
-//! Thread count selection: [`Pool::new`] for an explicit count,
-//! [`Pool::sequential`] for the single-threaded identity pool, and
+//! Thread count selection: [`Pool::new`] for an explicit count and
 //! [`Pool::from_env`] for the CLI-level `CACHEMAP_THREADS` knob.
 
 #![forbid(unsafe_code)]
@@ -94,14 +87,6 @@ pub struct Pool {
     threads: usize,
 }
 
-impl Default for Pool {
-    /// The sequential pool — parallelism in this workspace is always
-    /// opt-in.
-    fn default() -> Self {
-        Pool::sequential()
-    }
-}
-
 impl Pool {
     /// A pool that runs work on `threads` workers. Counts are clamped to
     /// `1..=`[`MAX_THREADS`]; `Pool::new(1)` is the sequential pool.
@@ -109,13 +94,6 @@ impl Pool {
         Pool {
             threads: threads.clamp(1, MAX_THREADS),
         }
-    }
-
-    /// The single-threaded pool: primitives run inline on the caller's
-    /// thread. This is the reference behaviour every parallel run must
-    /// reproduce byte-for-byte.
-    pub fn sequential() -> Pool {
-        Pool { threads: 1 }
     }
 
     /// Reads the thread count from [`THREADS_ENV`] (`CACHEMAP_THREADS`),
@@ -126,23 +104,6 @@ impl Pool {
             .map(|n| n.get())
             .unwrap_or(1);
         Pool::new(parse_threads(std::env::var(THREADS_ENV).ok().as_deref()).unwrap_or(fallback))
-    }
-
-    /// Like [`Pool::from_env`], but with an explicit fallback instead of
-    /// the machine's available parallelism.
-    pub fn from_env_or(fallback: usize) -> Pool {
-        Pool::new(parse_threads(std::env::var(THREADS_ENV).ok().as_deref()).unwrap_or(fallback))
-    }
-
-    /// The configured worker count (always ≥ 1).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// `true` when this pool runs everything inline on the caller's
-    /// thread.
-    pub fn is_sequential(&self) -> bool {
-        self.threads == 1
     }
 
     /// Maps `f` over `items`, returning results in input order.
@@ -246,64 +207,6 @@ impl Pool {
             Err(e) => panic!("{e}"),
         }
     }
-
-    /// Maps `f` over `items` and folds the results with `reduce` using a
-    /// fixed tree shape: items are grouped into contiguous blocks whose
-    /// boundaries depend only on `items.len()` (never the thread count),
-    /// each block is folded left-to-right, and the block accumulators
-    /// are folded left-to-right on the calling thread. Returns `None`
-    /// for empty input.
-    pub fn try_map_reduce<T, A, F, G>(
-        &self,
-        items: &[T],
-        f: F,
-        reduce: G,
-    ) -> Result<Option<A>, ParError>
-    where
-        T: Sync,
-        A: Send,
-        F: Fn(usize, &T) -> A + Sync,
-        G: Fn(A, A) -> A + Sync,
-    {
-        if items.is_empty() {
-            return Ok(None);
-        }
-        let block = reduce_block_len(items.len());
-        let blocks: Vec<(usize, usize)> = (0..items.len())
-            .step_by(block)
-            .map(|lo| (lo, (lo + block).min(items.len())))
-            .collect();
-        let partials = self.try_map(&blocks, |_, &(lo, hi)| {
-            let mut acc = f(lo, &items[lo]);
-            for (i, item) in items.iter().enumerate().take(hi).skip(lo + 1) {
-                acc = reduce(acc, f(i, item));
-            }
-            acc
-        })?;
-        Ok(partials.into_iter().reduce(&reduce))
-    }
-
-    /// [`Pool::try_map_reduce`] that propagates a worker panic as a
-    /// panic on the calling thread.
-    pub fn map_reduce<T, A, F, G>(&self, items: &[T], f: F, reduce: G) -> Option<A>
-    where
-        T: Sync,
-        A: Send,
-        F: Fn(usize, &T) -> A + Sync,
-        G: Fn(A, A) -> A + Sync,
-    {
-        match self.try_map_reduce(items, f, reduce) {
-            Ok(v) => v,
-            Err(e) => panic!("{e}"),
-        }
-    }
-}
-
-/// Block length for [`Pool::try_map_reduce`]: a function of the input
-/// length alone, so the reduction tree has the same shape at every
-/// thread count. At most 64 blocks keeps the sequential tail fold cheap.
-fn reduce_block_len(len: usize) -> usize {
-    len.div_ceil(64).max(1)
 }
 
 /// Parses a `CACHEMAP_THREADS`-style value: a positive integer, clamped
@@ -341,41 +244,6 @@ mod tests {
     fn empty_input_is_fine() {
         let none: [u32; 0] = [];
         assert_eq!(Pool::new(8).map(&none, |_, &x| x), Vec::<u32>::new());
-        assert_eq!(
-            Pool::new(8).map_reduce(&none, |_, &x| x, |a, b| a + b),
-            None
-        );
-    }
-
-    #[test]
-    fn reduce_shape_is_independent_of_thread_count() {
-        // A non-associative reduction: floating-point sums of wildly
-        // different magnitudes. Any change in fold shape changes bits.
-        let items: Vec<f64> = (0..1000)
-            .map(|i| {
-                if i % 7 == 0 {
-                    1e16
-                } else {
-                    (i as f64).sin() * 1e-3
-                }
-            })
-            .collect();
-        let reference = Pool::sequential()
-            .map_reduce(&items, |_, &x| x, |a, b| a + b)
-            .unwrap();
-        for threads in POOL_SIZES {
-            let got = Pool::new(threads)
-                .map_reduce(&items, |_, &x| x, |a, b| a + b)
-                .unwrap();
-            assert_eq!(got.to_bits(), reference.to_bits(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn map_reduce_matches_plain_fold_semantics() {
-        let items: Vec<u64> = (1..=100).collect();
-        let got = Pool::new(3).map_reduce(&items, |_, &x| x, |a, b| a + b);
-        assert_eq!(got, Some(5050));
     }
 
     #[test]
@@ -399,7 +267,7 @@ mod tests {
     #[test]
     fn sequential_panic_reports_the_first_index() {
         let items: Vec<u32> = (0..64).collect();
-        let err = Pool::sequential()
+        let err = Pool::new(1)
             .try_map(&items, |i, _| {
                 if i >= 10 {
                     panic!("boom");
@@ -440,22 +308,8 @@ mod tests {
         assert_eq!(parse_threads(Some("lots")), None);
         assert_eq!(parse_threads(Some("")), None);
         assert_eq!(parse_threads(None), None);
-        assert_eq!(Pool::new(0).threads(), 1);
-        assert_eq!(Pool::new(1_000_000).threads(), MAX_THREADS);
-        assert!(Pool::sequential().is_sequential());
-        assert!(!Pool::new(2).is_sequential());
-    }
-
-    #[test]
-    fn reduce_blocks_cover_every_index_once() {
-        for len in [1usize, 2, 63, 64, 65, 100, 4096, 5000] {
-            let block = reduce_block_len(len);
-            let mut covered = 0usize;
-            for lo in (0..len).step_by(block) {
-                covered += (lo + block).min(len) - lo;
-            }
-            assert_eq!(covered, len, "len={len}");
-        }
+        assert_eq!(Pool::new(0), Pool::new(1));
+        assert_eq!(Pool::new(1_000_000), Pool::new(MAX_THREADS));
     }
 
     #[test]
